@@ -7,15 +7,6 @@
 
 namespace polymg::health {
 
-namespace {
-
-/// Regions below this many doubles scan serially: the guarded path scans
-/// every output after every cycle, and for coarse grids the fork/join
-/// would cost more than the read-through.
-inline constexpr index_t kParallelScanGrain = 1 << 15;
-
-}  // namespace
-
 bool has_nonfinite(const double* p, std::size_t n) {
   // x * 0.0 is exactly 0.0 for every finite x and NaN for NaN/±inf, so a
   // plain sum detects any bad element without branches or libm calls.
@@ -39,7 +30,7 @@ bool has_nonfinite(const View& v, const Box& region) {
   }
   const index_t lo0 = region.dim(0).lo;
   const index_t hi0 = region.dim(0).hi;
-  const bool par = region.count() >= kParallelScanGrain && !in_parallel();
+  const bool par = region.count() >= kForkGrain && !in_parallel();
   if (v.ndim == 2) {
     int bad = 0;
     if (par) {

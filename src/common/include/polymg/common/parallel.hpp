@@ -13,6 +13,12 @@
 
 namespace polymg {
 
+/// Host bulk helpers (grid region ops, health scans, residual norms,
+/// buffer clones) fork a team only for work of at least this many
+/// elements, and only when !in_parallel(): below it, on coarse grids, the
+/// fork/join costs more than the memory pass it would split.
+inline constexpr std::int64_t kForkGrain = 1 << 15;
+
 /// Number of threads an upcoming parallel region will use.
 int max_threads();
 
@@ -65,8 +71,12 @@ void note_parallel_region();
 /// the master's later reads or frees. Under -fsanitize=thread each
 /// thread calls tsan_join_release() as its last act inside a region and
 /// the serial code calls tsan_join_acquire() immediately after it,
-/// rebuilding the same edge with TSan-visible atomics. Both are no-ops
-/// in normal builds.
+/// rebuilding the same edge with TSan-visible atomics. The same pair
+/// rebuilds the fork edge of a pooled team: the serial code releases
+/// just before the region and each thread acquires first thing inside
+/// it, so the team's reads of data the caller just wrote are not
+/// reported (and matched against suppressions) one by one. Both are
+/// no-ops in normal builds.
 #if defined(__SANITIZE_THREAD__)
 void tsan_join_release();
 void tsan_join_acquire();

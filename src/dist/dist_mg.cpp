@@ -5,6 +5,7 @@
 
 #include "polymg/common/error.hpp"
 #include "polymg/common/fault.hpp"
+#include "polymg/common/parallel.hpp"
 #include "polymg/obs/metrics.hpp"
 #include "polymg/obs/trace.hpp"
 #include "polymg/runtime/pool.hpp"
@@ -406,7 +407,9 @@ void DistMgSolver::smooth(int level, int steps) {
       if (s & 1) {  // result landed in tmp: move the owned rows back
         copy_rows(cfg_.ndim, rl.vv(), rl.tv(), rl.owned.lo, rl.owned.hi, n);
       }
+      tsan_join_release();
     }
+    tsan_join_acquire();
     done += s;
   }
 }
@@ -421,7 +424,9 @@ void DistMgSolver::residual(int level) {
     RankLevel& rl = lvl[static_cast<std::size_t>(r)];
     residual_rows(cfg_.ndim, rl.rv(), rl.vv(), rl.fv(), rl.owned.lo,
                   rl.owned.hi, n, inv_h2);
+    tsan_join_release();
   }
+  tsan_join_acquire();
 }
 
 void DistMgSolver::restrict_to(int level) {
@@ -434,7 +439,9 @@ void DistMgSolver::restrict_to(int level) {
     RankLevel& cf = coarse[static_cast<std::size_t>(r)];
     RankLevel& fr = fine[static_cast<std::size_t>(r)];
     restrict_rows(cfg_.ndim, cf.fv(), fr.rv(), cf.owned.lo, cf.owned.hi, nc);
+    tsan_join_release();
   }
+  tsan_join_acquire();
   // The coarse right-hand side halo feeds aggregated smoothing there.
   exchange(level - 1, /*f=*/1, ghost_depth_);
 }
@@ -450,7 +457,9 @@ void DistMgSolver::interp_correct(int level) {
     RankLevel& cf = coarse[static_cast<std::size_t>(r)];
     interp_correct_rows(cfg_.ndim, fr.vv(), cf.vv(), fr.owned.lo,
                         fr.owned.hi, nf);
+    tsan_join_release();
   }
+  tsan_join_acquire();
 }
 
 void DistMgSolver::zero_v(int level) {

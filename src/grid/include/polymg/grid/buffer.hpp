@@ -50,7 +50,9 @@ public:
 
   void fill(T v);
 
-  /// Deep copy (for tests and reference baselines).
+  /// Deep copy. Above kForkGrain elements and outside a parallel region
+  /// the copy is split over the team, so the new buffer's pages are
+  /// first touched in parallel.
   TBuffer clone() const;
 
 private:

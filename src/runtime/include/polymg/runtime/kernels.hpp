@@ -80,7 +80,9 @@ void for_each_boundary_slab(const Box& region, const Box& interior, Fn&& fn) {
   }
 }
 
-/// Fill / copy helpers on views over a region (boundary rules).
+/// Fill / copy helpers on views over a region (boundary rules, scratch
+/// copy-out). The grid row walker's serial form: they run inside executor
+/// tasks and never fork.
 void fill_view(View v, const Box& region, double value);
 void copy_view(View dst, View src, const Box& region);
 

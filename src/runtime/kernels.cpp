@@ -1,12 +1,12 @@
 #include "polymg/runtime/kernels.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <type_traits>
 #include <vector>
 
 #include "polymg/common/error.hpp"
+#include "polymg/grid/ops.hpp"
 
 namespace polymg::runtime {
 
@@ -701,89 +701,12 @@ void apply_regprog(const ir::RegProgram& prog, View out,
   }
 }
 
-namespace {
-
-/// Invoke fn(dst_elem_offset, src_elem_offset, row_length) for every
-/// contiguous last-dimension row of `region`. Both views must have unit
-/// stride in the last dimension (all PolyMG views do). Offsets are in
-/// elements so callers can apply them to whichever typed base pointer
-/// the view's dtype selects. `src` may be null for fill-style ops.
-template <typename RowFn>
-void for_each_row(const View& dst, const View* src, const Box& region,
-                  RowFn&& fn) {
-  if (region.empty()) return;
-  const int nd = dst.ndim;
-  PMG_DCHECK(dst.stride[nd - 1] == 1, "last dim must be contiguous");
-  const index_t len = region.dim(nd - 1).size();
-  const index_t j0 = region.dim(nd - 1).lo;
-  if (nd == 1) {
-    fn(j0 - dst.origin[0], src ? j0 - src->origin[0] : 0, len);
-    return;
-  }
-  if (nd == 2) {
-    for (index_t i = region.dim(0).lo; i <= region.dim(0).hi; ++i) {
-      fn(dst.offset2(i, j0), src ? src->offset2(i, j0) : 0, len);
-    }
-    return;
-  }
-  for (index_t i = region.dim(0).lo; i <= region.dim(0).hi; ++i) {
-    for (index_t j = region.dim(1).lo; j <= region.dim(1).hi; ++j) {
-      fn(dst.offset3(i, j, j0), src ? src->offset3(i, j, j0) : 0, len);
-    }
-  }
-}
-
-}  // namespace
-
 void fill_view(View v, const Box& region, double value) {
-  if (v.dtype == grid::DType::F32) {
-    float* base = v.f32();
-    const float fv = static_cast<float>(value);
-    for_each_row(v, nullptr, region,
-                 [&](index_t d, index_t, index_t len) {
-                   std::fill_n(base + d, len, fv);
-                 });
-  } else {
-    for_each_row(v, nullptr, region,
-                 [&](index_t d, index_t, index_t len) {
-                   std::fill_n(v.ptr + d, len, value);
-                 });
-  }
+  grid::fill_region(v, region, value);
 }
 
 void copy_view(View dst, View src, const Box& region) {
-  if (dst.dtype == src.dtype) {
-    // Same dtype: raw row memcpy, whatever the element size.
-    char* db = reinterpret_cast<char*>(dst.ptr);
-    const char* sb = reinterpret_cast<const char*>(src.ptr);
-    const std::size_t es = dst.elem_size();
-    for_each_row(dst, &src, region,
-                 [&](index_t d, index_t s, index_t len) {
-                   std::memcpy(db + static_cast<std::size_t>(d) * es,
-                               sb + static_cast<std::size_t>(s) * es,
-                               static_cast<std::size_t>(len) * es);
-                 });
-  } else if (dst.dtype == grid::DType::F32) {
-    // Narrowing copy: one rounding per element.
-    float* db = dst.f32();
-    const double* sb = src.ptr;
-    for_each_row(dst, &src, region,
-                 [&](index_t d, index_t s, index_t len) {
-                   for (index_t l = 0; l < len; ++l) {
-                     db[d + l] = static_cast<float>(sb[s + l]);
-                   }
-                 });
-  } else {
-    // Widening copy: exact.
-    double* db = dst.ptr;
-    const float* sb = src.f32();
-    for_each_row(dst, &src, region,
-                 [&](index_t d, index_t s, index_t len) {
-                   for (index_t l = 0; l < len; ++l) {
-                     db[d + l] = static_cast<double>(sb[s + l]);
-                   }
-                 });
-  }
+  grid::copy_region(dst, src, region, grid::Fork::Never);
 }
 
 namespace {

@@ -110,12 +110,6 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
                           double rel_tol, const GuardPolicy& policy,
                           const opt::CompileOptions& opts) {
   SolveReport report;
-  // Every retry restarts from the iterate the caller handed in.
-  const grid::Buffer v0 = p.v.clone();
-  const auto restore = [&] {
-    std::memcpy(p.v.data(), v0.data(), v0.size() * sizeof(double));
-  };
-
   report.initial_residual = residual_norm(p.v_view(), p.f_view(), p.n, p.h);
   report.final_residual = report.initial_residual;
   const double target =
@@ -124,6 +118,12 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
     report.converged = true;
     return report;
   }
+
+  // Every retry restarts from the iterate the caller handed in.
+  const grid::Buffer v0 = p.v.clone();
+  const auto restore = [&] {
+    std::memcpy(p.v.data(), v0.data(), v0.size() * sizeof(double));
+  };
 
   auto& solver_degrades = obs::Metrics::instance().counter("solver.degrades");
   auto& solver_cycles = obs::Metrics::instance().counter("solver.cycles");

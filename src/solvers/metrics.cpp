@@ -8,14 +8,6 @@
 
 namespace polymg::solvers {
 
-namespace {
-
-/// Serial below this many interior points: the norm is evaluated once per
-/// cycle and on coarse grids a fork/join costs more than the stencil.
-inline constexpr index_t kParallelNormGrain = 1 << 15;
-
-}  // namespace
-
 double residual_norm(View v, View f, index_t n, double h) {
   const double inv_h2 = 1.0 / (h * h);
   double sum = 0.0;
@@ -34,7 +26,7 @@ double residual_norm(View v, View f, index_t n, double h) {
     // Row partials are summed in row order within a thread and combined
     // by OpenMP's reduction, so the value is deterministic for a fixed
     // thread count (callers compare against tolerances, not bits).
-    if (n * n >= kParallelNormGrain && !in_parallel()) {
+    if (n * n >= kForkGrain && !in_parallel()) {
       note_parallel_region();
 #pragma omp parallel for reduction(+ : sum) schedule(static)
       for (index_t i = 1; i <= n; ++i) {
@@ -61,7 +53,7 @@ double residual_norm(View v, View f, index_t n, double h) {
       }
       return s;
     };
-    if (n * n * n >= kParallelNormGrain && !in_parallel()) {
+    if (n * n * n >= kForkGrain && !in_parallel()) {
       note_parallel_region();
 #pragma omp parallel for reduction(+ : sum) schedule(static)
       for (index_t i = 1; i <= n; ++i) {
@@ -93,7 +85,7 @@ void residual_field(View v, View f, index_t n, double h, View out) {
         out.store_at(q, f.at2(i, j) - av);
       }
     };
-    if (n * n >= kParallelNormGrain && !in_parallel()) {
+    if (n * n >= kForkGrain && !in_parallel()) {
       note_parallel_region();
 #pragma omp parallel for schedule(static)
       for (index_t i = 1; i <= n; ++i) {
@@ -120,7 +112,7 @@ void residual_field(View v, View f, index_t n, double h, View out) {
         }
       }
     };
-    if (n * n * n >= kParallelNormGrain && !in_parallel()) {
+    if (n * n * n >= kForkGrain && !in_parallel()) {
       note_parallel_region();
 #pragma omp parallel for schedule(static)
       for (index_t i = 1; i <= n; ++i) {
