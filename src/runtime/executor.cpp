@@ -173,6 +173,7 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
     node_complete_ = std::vector<std::atomic<std::uint8_t>>(nnodes);
     phase_completed_ = std::vector<std::atomic<index_t>>(phases_.size());
     group_ensured_ = std::vector<std::atomic<std::uint8_t>>(ngroups);
+    release_pending_.assign(ngroups, 0);
     node_seconds_acc_.assign(workspaces_.size() * nnodes, 0.0);
   }
 }
@@ -848,21 +849,31 @@ void Executor::reset_sched_state() {
   frontier_.store(0, std::memory_order_relaxed);
   for (auto& pc : phase_completed_) pc.store(0, std::memory_order_relaxed);
   for (auto& ge : group_ensured_) ge.store(0, std::memory_order_relaxed);
+  next_ensure_ = 0;
+  std::fill(release_pending_.begin(), release_pending_.end(), 0);
   std::fill(node_seconds_acc_.begin(), node_seconds_acc_.end(), 0.0);
 }
 
 void Executor::ensure_group_arrays_locked(int gi) {
-  if (group_ensured_[static_cast<std::size_t>(gi)].load(
-          std::memory_order_relaxed)) {
-    return;
+  // A task of group gi may start before any task of an earlier,
+  // independent group, so every group up to gi becomes live here, in
+  // order. Group h-1's releases then follow group h's allocations: the
+  // pool's first fit sees one fixed sequence, and a run after the first
+  // reuses exactly the buffers the first one created.
+  while (next_ensure_ <= gi) {
+    const int h = next_ensure_++;
+    for (const StagePlan& sp : plan_.groups[static_cast<std::size_t>(h)].stages) {
+      if (sp.array >= 0) ensure_array(sp.array);
+    }
+    // Release pairs with the acquire fast path in ensure_group_arrays: a
+    // thread seeing 1 sees the array_ptr_ stores above.
+    group_ensured_[static_cast<std::size_t>(h)].store(
+        1, std::memory_order_release);
+    if (h > 0 && release_pending_[static_cast<std::size_t>(h) - 1] != 0) {
+      release_pending_[static_cast<std::size_t>(h) - 1] = 0;
+      release_arrays(releasable_after_group_[static_cast<std::size_t>(h) - 1]);
+    }
   }
-  for (const StagePlan& sp : plan_.groups[static_cast<std::size_t>(gi)].stages) {
-    if (sp.array >= 0) ensure_array(sp.array);
-  }
-  // Release pairs with the acquire fast path in ensure_group_arrays: a
-  // thread seeing 1 sees the array_ptr_ stores above.
-  group_ensured_[static_cast<std::size_t>(gi)].store(
-      1, std::memory_order_release);
 }
 
 void Executor::ensure_group_arrays(int gi) {
@@ -930,7 +941,13 @@ void Executor::retire_node(index_t k) {
       k + 1 == static_cast<index_t>(sg.nodes.size()) ||
       sg.nodes[static_cast<std::size_t>(k) + 1].group != g;
   if (group_done && plan_.opts.pooled_allocation) {
-    release_arrays(releasable_after_group_[static_cast<std::size_t>(g)]);
+    const std::size_t next = static_cast<std::size_t>(g) + 1;
+    if (next < group_ensured_.size() &&
+        group_ensured_[next].load(std::memory_order_relaxed) == 0) {
+      release_pending_[static_cast<std::size_t>(g)] = 1;  // see ensure
+    } else {
+      release_arrays(releasable_after_group_[static_cast<std::size_t>(g)]);
+    }
   }
   PMG_TRACE_INSTANT_R(NodeRetire, g, -1, static_cast<int>(k), 0.0,
                       trace_req_);

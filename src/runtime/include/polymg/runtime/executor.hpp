@@ -243,7 +243,10 @@ private:
   void open_gate(index_t node);
   /// Make a group's arrays live on first use (double-checked: arrays are
   /// allocated when the group's first task starts, not when its gate
-  /// opens, so pooled lifetimes match the barrier schedule's).
+  /// opens, so pooled lifetimes match the barrier schedule's). Groups
+  /// become live strictly in order, and group g's releases wait until
+  /// group g+1 is live, so the pool sees the same allocate/release
+  /// sequence on every run whatever the task interleaving.
   void ensure_group_arrays(int gi);
   void ensure_group_arrays_locked(int gi);
   void run_collective_phase(const Phase& ph,
@@ -281,6 +284,10 @@ private:
   std::vector<std::atomic<index_t>> phase_completed_;
   std::vector<index_t> phase_total_;
   std::vector<std::atomic<std::uint8_t>> group_ensured_;  // per group, this run
+  // Under pool_mu_: the next group to make live, and the groups whose
+  // last node retired before their successor group became live.
+  int next_ensure_ = 0;
+  std::vector<std::uint8_t> release_pending_;  // per group, this run
   std::mutex pool_mu_;  // pool / array_ptr_ mutations inside the region
   View time_bufs_[2];   // collective-phase ping-pong pair (set by tid 0)
   std::vector<double> node_seconds_acc_;  // [tid * nnodes + node]

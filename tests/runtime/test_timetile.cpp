@@ -13,10 +13,13 @@ namespace {
 
 using grid::Buffer;
 
+// Every field is 64-bit so the struct has no padding: gtest prints the
+// raw bytes of the parameter into each registered test name, and padding
+// bytes would make those names differ from build to build.
 struct SweepCase {
-  int ndim;
+  poly::index_t ndim;
   poly::index_t n;
-  int steps;
+  poly::index_t steps;
   poly::index_t H, W;
 };
 

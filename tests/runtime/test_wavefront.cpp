@@ -11,10 +11,13 @@ namespace {
 
 using grid::Buffer;
 
+// Every field is 64-bit so the struct has no padding: gtest prints the
+// raw bytes of the parameter into each registered test name, and padding
+// bytes would make those names differ from build to build.
 struct WfCase {
-  int ndim;
+  poly::index_t ndim;
   poly::index_t n;
-  int T;
+  poly::index_t T;
 };
 
 class WavefrontTest : public ::testing::TestWithParam<WfCase> {};
