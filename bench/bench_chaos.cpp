@@ -1,7 +1,7 @@
 // Chaos sweep driver (DESIGN.md §15): every fault::FaultInjector site
 // armed against a LIVE watchdog-enabled SolveService, crossed with the
-// secondary axes {jit on/off, precision double/mixed, dependence/barrier
-// schedule, cold/warm injection timing}. For each run the liveness
+// secondary axes {jit on/off, precision double/mixed, cold/warm injection
+// timing}. For each run the liveness
 // invariants are checked — every request terminates with an honest
 // terminal status, the service answers a clean probe after the fault is
 // disarmed, and shutdown leaks zero workers — and the per-site outcome
@@ -10,16 +10,12 @@
 // and zero leaked workers from it).
 //
 // Default mode rotates the secondary axes across sites (one run per
-// site); --full runs the whole site × axis cross-product. Axis caveats,
-// so the matrix is read honestly:
-//  * an ARMED fault injector forces the barrier schedule regardless of
-//    the requested axis (Executor::dependence_scheduled) — the schedule
-//    axis therefore exercises plan compilation and the disarmed probe,
-//    not the faulted burst itself;
-//  * the service serves constant-coefficient Poisson plans, which are
-//    all-linear: JitMode::On binds no kernels, so the jit.* sites never
-//    fire in-service (their firing path is covered by test_jit_sandbox);
-//    armed-but-silent sites must still leave the service fully live.
+// site); --full runs the whole site × axis cross-product. Axis caveat,
+// so the matrix is read honestly: the service serves constant-coefficient
+// Poisson plans, which are all-linear: JitMode::On binds no kernels, so
+// the jit.* sites never fire in-service (their firing path is covered by
+// test_jit_sandbox); armed-but-silent sites must still leave the service
+// fully live.
 //
 // Flags: --full, --burst N, --reps N, --json FILE.
 #include <cstdio>
@@ -45,7 +41,6 @@ using solvers::PoissonProblem;
 struct Axes {
   bool jit_on = false;
   bool mixed = false;
-  bool dep_schedule = true;
   bool cold = false;  ///< arm before the first request (vs after warm-up)
 };
 
@@ -82,7 +77,6 @@ SolveRequest make_req(const Axes& a, const std::string& tenant) {
   req.opts.jit = a.jit_on ? opt::JitMode::On : opt::JitMode::Off;
   req.opts.precision.mode =
       a.mixed ? opt::Precision::Mixed : opt::Precision::Double;
-  req.opts.dependence_schedule = a.dep_schedule;
   const PoissonProblem p = PoissonProblem::manufactured(2, req.cfg.n);
   req.rhs = p.f.clone();
   req.rel_tol = 1e-8;
@@ -179,10 +173,8 @@ int main(int argc, char** argv) {
   if (full) {
     for (int j = 0; j < 2; ++j) {
       for (int p = 0; p < 2; ++p) {
-        for (int s = 0; s < 2; ++s) {
-          for (int t = 0; t < 2; ++t) {
-            combos.push_back(Axes{j == 1, p == 1, s == 0, t == 1});
-          }
+        for (int t = 0; t < 2; ++t) {
+          combos.push_back(Axes{j == 1, p == 1, t == 1});
         }
       }
     }
@@ -198,7 +190,7 @@ int main(int argc, char** argv) {
       const std::vector<Axes> picks =
           full ? combos
                : std::vector<Axes>{Axes{(ix & 1) != 0, (ix & 2) != 0,
-                                        (ix & 4) == 0, (ix & 8) != 0}};
+                                        (ix & 4) != 0}};
       ++ix;
       for (const Axes& a : picks) {
         const RunOutcome out = run_site(site, a, burst);
@@ -206,11 +198,10 @@ int main(int argc, char** argv) {
         leaked_workers += out.leaked_workers;
         unanswered += out.answered_after ? 0 : 1;
         std::printf(
-            "%-20s jit=%-3s prec=%-6s sched=%-7s timing=%-4s fired=%ld "
+            "%-20s jit=%-3s prec=%-6s timing=%-4s fired=%ld "
             "terminated=%d/%d answered=%s leaked=%d stalls=%llu lost=%llu\n",
             site.c_str(), a.jit_on ? "on" : "off",
-            a.mixed ? "mixed" : "double", a.dep_schedule ? "dep" : "barrier",
-            a.cold ? "cold" : "warm", out.fired, out.terminated, out.requests,
+            a.mixed ? "mixed" : "double", a.cold ? "cold" : "warm", out.fired, out.terminated, out.requests,
             out.answered_after ? "yes" : "NO", out.leaked_workers,
             static_cast<unsigned long long>(out.stalls_detected),
             static_cast<unsigned long long>(out.workers_lost));
@@ -248,13 +239,13 @@ int main(int argc, char** argv) {
       const RunOutcome& r = runs[i];
       std::fprintf(f,
                    "    {\"site\": \"%s\", \"jit\": %s, \"mixed\": %s, "
-                   "\"dep_schedule\": %s, \"cold\": %s, \"fired\": %ld, "
+                   "\"cold\": %s, \"fired\": %ld, "
                    "\"requests\": %d, \"terminated\": %d, "
                    "\"answered_after\": %s, \"leaked_workers\": %d, "
                    "\"stalls_detected\": %llu, \"workers_lost\": %llu, "
                    "\"outcomes\": {",
                    r.site.c_str(), b2s(r.axes.jit_on), b2s(r.axes.mixed),
-                   b2s(r.axes.dep_schedule), b2s(r.axes.cold), r.fired,
+                   b2s(r.axes.cold), r.fired,
                    r.requests, r.terminated, b2s(r.answered_after),
                    r.leaked_workers,
                    static_cast<unsigned long long>(r.stalls_detected),

@@ -4,7 +4,11 @@
 // W-2D-10-0-0/C: naive 5.38× vs opt+ 33.3× total at 24 threads); on a
 // single-core host it degenerates to one row and documents that fact.
 //
-// Flags: --paper, --reps N, --max-threads T.
+// Flags: --paper, --reps N, --max-threads T, --json FILE (one record per
+// row and series, each carrying the thread count it ran at).
+#include <cstdio>
+#include <string>
+
 #include "polymg/common/parallel.hpp"
 
 #include "gbench.hpp"
@@ -35,7 +39,7 @@ int main(int argc, char** argv) {
   ResultTable table;
   for (int t = 1; t <= max_threads; t *= 2) {
     polymg::set_num_threads(t);
-    const std::string row = "W-2D-10-0-0/C @" + std::to_string(t) + "t";
+    const std::string row = "W-2D-10-0-0 @" + std::to_string(t) + "t/C";
     for (Series s : {Series::Naive, Series::OptPlus}) {
       SolveRunner r = make_runner(s, cfg, sc.iters2d);
       r.run();  // warm (first-touch pages)
@@ -47,10 +51,10 @@ int main(int argc, char** argv) {
   table.print("Scaling: threads sweep (speedups are vs naive at the same "
               "thread count)",
               "polymg-naive");
-  const double naive_1t = table.get("W-2D-10-0-0/C @1t", "polymg-naive");
+  const double naive_1t = table.get("W-2D-10-0-0 @1t/C", "polymg-naive");
   std::printf("\ntotal speedup over 1-thread naive:\n");
   for (int t = 1; t <= max_threads; t *= 2) {
-    const std::string row = "W-2D-10-0-0/C @" + std::to_string(t) + "t";
+    const std::string row = "W-2D-10-0-0 @" + std::to_string(t) + "t/C";
     std::printf("  %2d threads: naive %5.2fx, opt+ %5.2fx\n", t,
                 naive_1t / table.get(row, "polymg-naive"),
                 naive_1t / table.get(row, "polymg-opt+"));
@@ -59,6 +63,11 @@ int main(int argc, char** argv) {
     std::printf(
         "\n(single-core host: the multi-thread rows of the paper's panels\n"
         "cannot be measured here; run on a multicore machine to extend.)\n");
+  }
+
+  if (const std::string json = opts.get("json", ""); !json.empty()) {
+    table.write_json(json, "scaling", "polymg-naive");
+    std::printf("wrote %s\n", json.c_str());
   }
   return 0;
 }

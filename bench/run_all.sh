@@ -3,7 +3,7 @@
 # at the repository root:
 #   BENCH_kernels.json  — stack interpreter vs register row engine
 #   BENCH_fig9.json     — 2-d multigrid variant comparison (Fig. 9)
-#   BENCH_sched.json    — barrier vs persistent-team dependence schedule
+#   BENCH_scaling.json  — thread scaling, polymg-naive vs polymg-opt+
 #   BENCH_autotune.json — the Fig. 12 autotuning sweep
 #   BENCH_resilience.json — checkpoint overhead, recovery latency, SDC rate
 #   BENCH_service.json  — solve-service throughput / tail latency / overload
@@ -13,10 +13,10 @@
 #
 # Usage: bench/run_all.sh [build-dir]   (default: ./build)
 # Extra knobs via env: REPS (default 3), BENCH_CLASS (e.g. B),
-# SCHED_THREADS (default "1,2,4"), POLYMG_TRACE=1 to additionally write a
-# Chrome trace (TRACE_<bench>.json per driver, Perfetto-loadable) next to
-# each BENCH_*.json, POLYMG_METRICS=1 to additionally dump each driver's
-# final metrics-registry snapshot (METRICS_<bench>.json per driver).
+# POLYMG_TRACE=1 to additionally write a Chrome trace (TRACE_<bench>.json
+# per driver, Perfetto-loadable) next to each BENCH_*.json,
+# POLYMG_METRICS=1 to additionally dump each driver's final
+# metrics-registry snapshot (METRICS_<bench>.json per driver).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -62,11 +62,12 @@ fi
   $(metrics_arg fig9) --benchmark_out_format=console
 
 echo
-echo "== bench_sched (reps=$reps, threads=${SCHED_THREADS:-1,2,4}) =="
-"$build/bench/bench_sched" --reps "$reps" \
-  --threads "${SCHED_THREADS:-1,2,4}" \
-  --json "$repo_root/BENCH_sched.json" $(trace_arg sched) \
-  $(metrics_arg sched)
+# Threads 1, 2, 4, ... up to the OpenMP thread count (OMP_NUM_THREADS or
+# the core count).
+echo "== bench_scaling (reps=$reps) =="
+"$build/bench/bench_scaling" --reps "$reps" \
+  --json "$repo_root/BENCH_scaling.json" $(trace_arg scaling) \
+  $(metrics_arg scaling)
 
 echo
 echo "== bench_fig12_autotune (reps=$reps) =="
@@ -97,6 +98,6 @@ echo "== bench_obs =="
 
 echo
 echo "results: $repo_root/BENCH_kernels.json $repo_root/BENCH_fig9.json" \
-     "$repo_root/BENCH_sched.json $repo_root/BENCH_autotune.json" \
+     "$repo_root/BENCH_scaling.json $repo_root/BENCH_autotune.json" \
      "$repo_root/BENCH_resilience.json $repo_root/BENCH_service.json" \
      "$repo_root/BENCH_obs.json $repo_root/METRICS_service.prom"

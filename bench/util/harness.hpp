@@ -190,7 +190,7 @@ public:
   ///    "threads": N, "ms": min, "mean_ms": m, "stddev_ms": s,
   ///    "reps": n, "speedup_vs_naive": base/min}
   /// `threads` is the team size captured when the row was recorded, so
-  /// drivers that sweep set_num_threads (bench_sched, bench_scaling)
+  /// drivers that sweep set_num_threads (bench_scaling)
   /// get the per-row truth, not the final thread count.
   /// `baseline` names the series speedups are computed against (the
   /// field is null for rows that lack the baseline).

@@ -10,11 +10,10 @@
 // invokes the system compiler (`cc -O3 -march=native -fopenmp-simd
 // -ffp-contract=off -fPIC -shared`), dlopen()s the shared object and
 // binds the resolved pointers into the plan's LoweredDefs, where
-// runtime::Executor's per-stage dispatch picks them up under both the
-// barrier and persistent-team schedules. Linearizable definitions are
-// left alone: they already run the specialized tap-loop, and swapping
-// in a register-program-order kernel would change their summation
-// order. The JIT targets exactly the definitions the linearizer
+// runtime::Executor's per-stage dispatch picks them up. Linearizable
+// definitions are left alone: they already run the specialized tap-loop,
+// and swapping in a register-program-order kernel would change their
+// summation order. The JIT targets exactly the definitions the linearizer
 // rejects — the stages that otherwise pay the 12-15x register-engine /
 // stack-interpreter penalty. (Per-def headroom on linear stencils is
 // still measurable through jit_kernel_for_def, which has no such

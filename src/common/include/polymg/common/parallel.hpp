@@ -1,12 +1,10 @@
 // Thin wrappers over the OpenMP runtime so the rest of the library never
 // includes <omp.h> directly and builds (serially) even without OpenMP.
 //
-// Beyond the basic queries this header carries the primitives the
-// persistent-team executor needs: an in-parallel test (to pick orphaned
-// worksharing over nested regions), a team barrier usable from plain
-// functions, a polite spin-wait pause, and a process-global count of
-// parallel regions our code has opened — the instrumentation behind the
-// "exactly one parallel region per run()" scheduler invariant.
+// Beyond the basic queries this header carries an in-parallel test (bulk
+// helpers fork only from serial code), a process-global count of the
+// parallel regions our code has opened (tests diff it to assert which
+// calls fork), and the ThreadSanitizer join annotations.
 #pragma once
 
 #include <cstdint>
@@ -31,29 +29,10 @@ int team_size();
 /// Temporarily override the global thread count (returns previous value).
 int set_num_threads(int n);
 
-/// True when called from inside an active parallel region. Worksharing
-/// helpers use this to choose between forking a region and binding
-/// orphaned constructs to the enclosing team.
+/// True when called from inside an active parallel region. Bulk helpers
+/// use this to run serially inside an executor's slab or tile instead of
+/// forking a nested region.
 bool in_parallel();
-
-/// Barrier across the innermost enclosing team (no-op outside a region).
-void team_barrier();
-
-/// Polite pause inside a spin-wait loop. After `spins` failed attempts
-/// the caller should escalate to yield_thread() — essential when the
-/// team is oversubscribed (more threads than cores), where hot spinning
-/// starves the one thread holding real work.
-void cpu_pause();
-
-/// Yield the processor to any other runnable thread.
-void yield_thread();
-
-/// Sleep for a few tens of microseconds. The last escalation step of a
-/// spin-wait: unlike yield_thread() it takes the caller off the run
-/// queue entirely, so on an oversubscribed host the thread holding real
-/// work gets whole scheduler timeslices instead of sharing them with
-/// spinners.
-void idle_sleep();
 
 /// Count of parallel regions entered by polymg code since process start.
 /// Every `#pragma omp parallel` site in the library reports itself (once

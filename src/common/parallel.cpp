@@ -1,16 +1,9 @@
 #include "polymg/common/parallel.hpp"
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #ifdef _OPENMP
 #include <omp.h>
-#endif
-
-#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
-#include <immintrin.h>
-#define POLYMG_HAVE_PAUSE 1
 #endif
 
 namespace polymg {
@@ -60,28 +53,6 @@ bool in_parallel() {
 #else
   return false;
 #endif
-}
-
-void team_barrier() {
-#ifdef _OPENMP
-  if (omp_in_parallel()) {
-#pragma omp barrier
-  }
-#endif
-}
-
-void cpu_pause() {
-#ifdef POLYMG_HAVE_PAUSE
-  _mm_pause();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
-
-void yield_thread() { std::this_thread::yield(); }
-
-void idle_sleep() {
-  std::this_thread::sleep_for(std::chrono::microseconds(50));
 }
 
 std::uint64_t parallel_regions_entered() {

@@ -1,15 +1,14 @@
 // polymg::obs — lock-free per-thread trace sink.
 //
-// Every runtime layer (executor, scheduler, pool, guarded execution, the
-// distributed backend) records typed events here: tile/slab executions
-// with group/stage/node ids, queue-starvation waits, gate opens, pool
-// traffic, halo exchanges, fallbacks and health-scan verdicts. Recording
-// is a single bounds-checked store into a preallocated per-thread ring
-// buffer — no locks, no atomics beyond one relaxed enabled-flag load, no
-// heap traffic — so tracing a steady-state run stays inside the
-// executor's zero-allocation envelope, and a disabled trace costs one
-// relaxed load per would-be event (asserted bit-exact and zero-alloc by
-// tests/obs).
+// Every runtime layer (executor, pool, guarded execution, the distributed
+// backend, the solve service) records typed events here: group, tile and
+// slab executions with group/stage ids, pool traffic, halo exchanges,
+// fallbacks and health-scan verdicts. Recording is a single
+// bounds-checked store into a preallocated per-thread ring buffer — no
+// locks, no atomics beyond one relaxed enabled-flag load, no heap
+// traffic — so tracing a steady-state run stays inside the executor's
+// zero-allocation envelope, and a disabled trace costs one relaxed load
+// per would-be event (asserted bit-exact and zero-alloc by tests/obs).
 //
 // Overhead control is two-layered:
 //  * compile time — building with POLYMG_TRACE_DISABLED defines the
@@ -34,11 +33,9 @@ namespace polymg::obs {
 enum class EventKind : std::uint8_t {
   TileExec,      ///< one overlapped tile: group, stage=-1, id=tile
   SlabExec,      ///< one Loops slab: group, stage=func, id=dim-0 lo row
-  TimeTileExec,  ///< one collective time-tiled sweep: group, id=node
-  GroupExec,     ///< barrier schedule: one whole group, id=group
-  QueueWait,     ///< dependence schedule: one idle episode; value=spins
-  GateOpen,      ///< prefix gate opened: id=node
-  NodeRetire,    ///< completion frontier retired: id=node
+  TimeTileExec,  ///< one time-tiled sweep: group, stage=first func,
+                 ///< id=group, value=time steps
+  GroupExec,     ///< one whole group (one fork/join), id=group
   PoolAlloc,     ///< pool allocation: id=1 reuse hit / 0 fresh, value=bytes
   PoolRelease,   ///< pool release: value=bytes
   ScratchBind,   ///< scratchpad bound for a tile: id=tile, value=bytes
@@ -93,7 +90,7 @@ enum class EventKind : std::uint8_t {
                       ///< group=tenant index, id=ticket
 };
 
-/// Stable lower-case name for trace exports ("tile", "queue_wait", ...).
+/// Stable lower-case name for trace exports ("tile", "group", ...).
 const char* to_string(EventKind k);
 
 /// One fixed-size record. `ts_ns` is nanoseconds since the session epoch

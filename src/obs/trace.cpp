@@ -53,9 +53,6 @@ const char* to_string(EventKind k) {
     case EventKind::SlabExec: return "slab";
     case EventKind::TimeTileExec: return "time_tile";
     case EventKind::GroupExec: return "group";
-    case EventKind::QueueWait: return "queue_wait";
-    case EventKind::GateOpen: return "gate_open";
-    case EventKind::NodeRetire: return "node_retire";
     case EventKind::PoolAlloc: return "pool_alloc";
     case EventKind::PoolRelease: return "pool_release";
     case EventKind::ScratchBind: return "scratch_bind";

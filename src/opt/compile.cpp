@@ -7,7 +7,6 @@
 #include "polymg/common/error.hpp"
 #include "polymg/obs/metrics.hpp"
 #include "polymg/opt/grouping.hpp"
-#include "polymg/opt/schedule.hpp"
 #include "polymg/opt/storage.hpp"
 
 namespace polymg::opt {
@@ -420,11 +419,6 @@ CompiledPipeline compile(Pipeline pipe, const CompileOptions& opts) {
   }
 
   cp.pipe = std::move(pipe);
-
-  // ---- Dependence schedule: the inter-group tile dependence graph the
-  // ---- persistent-team executor releases tasks from (built last — it
-  // ---- reads the finished groups, arrays and region caches).
-  if (opts.dependence_schedule) cp.sched = build_schedule(cp);
   return cp;
 }
 

@@ -98,13 +98,6 @@ struct CompileOptions {
   index_t dtile_time_block = 4;
   index_t dtile_width = 0;
 
-  /// Persistent-team dependence schedule: the executor opens one parallel
-  /// region per run() and releases tiles point-to-point from the plan's
-  /// SchedGraph instead of fork/join + barrier per group. Naive (and the
-  /// guarded reference oracle) keep the barrier schedule so cross-checks
-  /// run an independent execution order.
-  bool dependence_schedule = true;
-
   /// Native kernel specialization (codegen::jit_specialize). Reference
   /// (oracle) plans force this off so guarded cross-checks keep an
   /// execution path independent of the emitted code. The process-wide
@@ -119,11 +112,10 @@ struct CompileOptions {
   /// is not Double.
   PrecisionPolicy precision;
 
-  /// Grain-size fast path: a schedule node whose total work (points ×
-  /// stages) falls below this threshold runs serially on the claiming
-  /// thread instead of being split into parallel tasks — coarse multigrid
-  /// levels are a handful of rows and a task per slab costs more than the
-  /// smooth itself.
+  /// Grain-size fast path: a Loops stage whose domain holds fewer points
+  /// than this runs on the calling thread instead of forking a team —
+  /// coarse multigrid levels are a handful of rows and the fork/join
+  /// costs more than the smooth itself.
   index_t serial_grain = 4096;
 
   /// Default options for one of the paper's variants at a grid

@@ -83,45 +83,6 @@ struct ArrayInfo {
   bool io = false;  ///< program output (never pooled away or reused)
 };
 
-/// One node of the inter-group dependence schedule. A node is the unit
-/// the persistent-team executor gates on: a Loops group contributes one
-/// node per stage (tasks are dimension-0 slabs), an OverlapTiled group
-/// one node (tasks are its anchor tiles), a TimeTiled group one
-/// collective node the whole team executes between barriers.
-struct SchedNode {
-  int group = -1;
-  int stage = -1;  ///< stage position for Loops nodes; -1 = whole group
-  bool collective = false;  ///< TimeTiled: barrier-separated team node
-  bool serial = false;      ///< grain fast path: a single task runs the
-                            ///< whole node on the claiming thread
-  /// Task grid (outermost first): tiles.ntiles for OverlapTiled nodes,
-  /// {nslabs, 1, 1} for Loops nodes, {1, 1, 1} when serial/collective.
-  std::array<poly::index_t, 3> ntasks_dim{1, 1, 1};
-  poly::index_t ntasks = 1;    ///< product of ntasks_dim
-  poly::index_t slab = 0;      ///< Loops: dim-0 rows per task (else 0)
-  poly::index_t task_base = 0; ///< offset into the flat task id space
-};
-
-/// Dependence schedule: nodes in execution order plus task-level edges.
-/// Only *adjacent* nodes carry explicit edges (CSR over flat task ids);
-/// dependences spanning two or more nodes are enforced by the runtime's
-/// prefix gate — a task of node i may only start once every node <= i-2
-/// has fully completed. Empty nodes means "no dependence schedule" (the
-/// executor keeps the per-group barrier path).
-struct SchedGraph {
-  std::vector<SchedNode> nodes;
-  /// CSR successor lists over flat task ids. succ[succ_off[t] ..
-  /// succ_off[t+1]) are the tasks of node(t)+1 that must wait for t.
-  std::vector<poly::index_t> succ_off;  ///< size total_tasks + 1
-  std::vector<poly::index_t> succ;
-  /// Explicit predecessor count per task (edges only; the runtime adds
-  /// one for the prefix gate).
-  std::vector<std::int32_t> pred_count;
-  poly::index_t total_tasks = 0;
-
-  bool empty() const { return nodes.empty(); }
-};
-
 struct CompiledPipeline {
   Pipeline pipe;
   CompileOptions opts;
@@ -132,11 +93,6 @@ struct CompiledPipeline {
   /// Arrays to pool_deallocate after each group finishes (index parallel
   /// to `groups`).
   std::vector<std::vector<int>> release_after_group;
-
-  /// Inter-group tile dependence schedule (empty when
-  /// opts.dependence_schedule is off). Built by opt::build_schedule,
-  /// cross-checked by validate_plan.
-  SchedGraph sched;
 
   /// Storage dtype per function / per external grid, derived by
   /// compile() from opts.precision and the functions' multigrid levels

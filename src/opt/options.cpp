@@ -51,7 +51,6 @@ CompileOptions CompileOptions::for_variant(Variant v, int ndim) {
       o.inter_group_reuse = false;
       o.pooled_allocation = false;
       o.collapse = false;
-      o.dependence_schedule = false;
       break;
     case Variant::Opt:
       // PolyMage's image-processing optimizer: fusion + overlapped tiling

@@ -1,7 +1,5 @@
 #include "polymg/opt/validate.hpp"
 
-#include "polymg/opt/schedule.hpp"
-
 #include <algorithm>
 #include <numeric>
 #include <sstream>
@@ -410,12 +408,7 @@ std::vector<std::string> plan_issues(const CompiledPipeline& cp) {
     }
   }
 
-  // ---- Dependence schedule: the persistent-team executor trusts the
-  // ---- stored task graph blindly, so a dropped or misdirected edge is a
-  // ---- silent race. Cross-check against a full recomputation.
-  std::vector<std::string> issues = out.take();
-  if (!cp.sched.empty()) schedule_issues(cp, issues);
-  return issues;
+  return out.take();
 }
 
 void validate_plan(const CompiledPipeline& cp) {
@@ -438,9 +431,6 @@ CompileOptions reference_options(const CompileOptions& base) {
   // The oracle must stay implementation-independent of the fast path it
   // cross-checks: interpret bytecode, never the register engine.
   o.register_engine = false;
-  // Likewise execute in an independent order: per-group barrier schedule,
-  // not the persistent-team dependence schedule.
-  o.dependence_schedule = false;
   // And never through code the specializer emitted — the oracle is the
   // independent check on exactly that code.
   o.jit = JitMode::Off;

@@ -20,8 +20,43 @@ namespace polymg::runtime {
 
 using opt::GroupExec;
 using opt::GroupPlan;
-using opt::SchedNode;
 using opt::StagePlan;
+
+namespace {
+
+/// Chunks an overlap group's parallel tile loop deals out: every tile
+/// under collapse(d), else the outermost tile rows.
+index_t parallel_chunks(const GroupPlan& g) {
+  return g.collapse_depth > 1 ? g.tiles.total : g.tiles.ntiles[0];
+}
+
+/// Threads the plan's widest group can keep busy. Loops stages above the
+/// serial grain and time-tiled sweeps split as finely as any team does;
+/// an overlap group is as wide as its tile chunks.
+int parallel_width(const opt::CompiledPipeline& plan) {
+  constexpr int kAnyTeam = std::numeric_limits<int>::max();
+  index_t width = 1;
+  for (const GroupPlan& g : plan.groups) {
+    switch (g.exec) {
+      case GroupExec::OverlapTiled:
+        width = std::max(width, parallel_chunks(g));
+        break;
+      case GroupExec::TimeTiled:
+        return kAnyTeam;
+      case GroupExec::Loops:
+        for (const StagePlan& sp : g.stages) {
+          if (plan.pipe.funcs[sp.func].domain.count() >=
+              plan.opts.serial_grain) {
+            return kAnyTeam;
+          }
+        }
+        break;
+    }
+  }
+  return static_cast<int>(std::min<index_t>(width, kAnyTeam));
+}
+
+}  // namespace
 
 Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
   // Bind natively compiled kernels before anything else resolves: all
@@ -37,9 +72,6 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
   obs::Metrics& m = obs::Metrics::instance();
   ctr_tiles_ = &m.counter("executor.tiles");
   ctr_slabs_ = &m.counter("executor.slabs");
-  ctr_pops_ = &m.counter("executor.queue_pops");
-  ctr_spins_ = &m.counter("executor.queue_spins");
-  ctr_gate_opens_ = &m.counter("executor.gate_opens");
   ctr_runs_ = &m.counter("executor.runs");
   ctr_regions_cached_ = &m.counter("executor.tile_regions_cached");
   ctr_regions_recomputed_ = &m.counter("executor.tile_regions_recomputed");
@@ -56,7 +88,6 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
   perf_instr_.assign(plan_.groups.size(), 0);
   perf_llc_.assign(plan_.groups.size(), 0);
   perf_seconds_.assign(plan_.groups.size(), 0.0);
-  dep_group_run_seconds_.assign(plan_.groups.size(), 0.0);
 
   array_ptr_.assign(plan_.arrays.size(), nullptr);
   unpooled_.resize(plan_.arrays.size());
@@ -65,7 +96,14 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
   }
   // Everything below resolves plan-derivable state once, up front: the
   // steady-state run() touches only these caches and allocates nothing.
-  arena_.resize(static_cast<std::size_t>(max_threads()));
+  // Arenas and workspaces are per thread, one for each thread a region
+  // may use (team_threads()): the OpenMP thread count now, capped at the
+  // widest group. A plan of one- and two-tile groups then forks two
+  // threads at most, and no idle team member spin-waits between its
+  // regions, taking cores from other processes.
+  const std::size_t capacity = static_cast<std::size_t>(
+      std::min(max_threads(), parallel_width(plan_)));
+  arena_.resize(capacity);
   for (auto& a : arena_) a.resize(static_cast<std::size_t>(arena_doubles_));
 
   const std::size_t ngroups = plan_.groups.size();
@@ -123,7 +161,7 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
     }
   }
 
-  workspaces_.resize(static_cast<std::size_t>(max_threads()));
+  workspaces_.resize(capacity);
   for (Workspace& ws : workspaces_) {
     ws.regions.reserve(max_stages);
     ws.scratch_views.reserve(max_stages);
@@ -134,56 +172,11 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
   group_seconds_.assign(ngroups, 0.0);
   stage_seconds_.assign(static_cast<std::size_t>(plan_.pipe.num_stages()),
                         0.0);
-
-  // --- Dependence-scheduler state, preallocated so a steady-state run
-  // --- only resets it (no heap traffic inside or around the region).
-  const opt::SchedGraph& sg = plan_.sched;
-  sched_on_ = !sg.empty();
-  if (sched_on_) {
-    const std::size_t nnodes = sg.nodes.size();
-    const std::size_t ntasks = static_cast<std::size_t>(sg.total_tasks);
-    task_node_.assign(ntasks, 0);
-    phase_of_node_.assign(nnodes, 0);
-    for (std::size_t ni = 0; ni < nnodes; ++ni) {
-      const SchedNode& n = sg.nodes[ni];
-      for (index_t t = 0; t < n.ntasks; ++t) {
-        task_node_[static_cast<std::size_t>(n.task_base + t)] =
-            static_cast<std::int32_t>(ni);
-      }
-      if (n.collective) {
-        phases_.push_back(Phase{true, static_cast<int>(ni),
-                                static_cast<int>(ni) + 1});
-      } else if (!phases_.empty() && !phases_.back().collective &&
-                 phases_.back().end_node == static_cast<int>(ni)) {
-        phases_.back().end_node = static_cast<int>(ni) + 1;
-      } else {
-        phases_.push_back(Phase{false, static_cast<int>(ni),
-                                static_cast<int>(ni) + 1});
-      }
-      phase_of_node_[ni] = static_cast<int>(phases_.size()) - 1;
-    }
-    phase_total_.assign(phases_.size(), 0);
-    for (std::size_t ni = 0; ni < nnodes; ++ni) {
-      phase_total_[static_cast<std::size_t>(phase_of_node_[ni])] +=
-          sg.nodes[ni].ntasks;
-    }
-    pred_ = std::vector<std::atomic<std::int32_t>>(ntasks);
-    queue_ = std::vector<std::atomic<index_t>>(ntasks);
-    node_remaining_ = std::vector<std::atomic<index_t>>(nnodes);
-    node_complete_ = std::vector<std::atomic<std::uint8_t>>(nnodes);
-    phase_completed_ = std::vector<std::atomic<index_t>>(phases_.size());
-    group_ensured_ = std::vector<std::atomic<std::uint8_t>>(ngroups);
-    release_pending_.assign(ngroups, 0);
-    node_seconds_acc_.assign(workspaces_.size() * nnodes, 0.0);
-  }
 }
 
 void Executor::reset_timers() {
   std::fill(group_seconds_.begin(), group_seconds_.end(), 0.0);
   std::fill(stage_seconds_.begin(), stage_seconds_.end(), 0.0);
-  std::fill(node_seconds_acc_.begin(), node_seconds_acc_.end(), 0.0);
-  queue_pops_.store(0, std::memory_order_relaxed);
-  queue_spins_.store(0, std::memory_order_relaxed);
   runs_timed_ = 0;
   std::fill(perf_cycles_.begin(), perf_cycles_.end(), 0);
   std::fill(perf_instr_.begin(), perf_instr_.end(), 0);
@@ -256,8 +249,7 @@ obs::RunReport Executor::run_report() const {
   }
   // Roofline attribution: model bytes/flops come from the plan alone (so
   // model GB/s renders even where perf_event_open is unavailable); the
-  // hw columns fill in when enable_perf_attribution() sampled
-  // barrier-schedule runs.
+  // hw columns fill in when enable_perf_attribution() sampled runs.
   const bool sampled = perf_runs_ > 0;
   if (sampled || (perf_ != nullptr && runs_timed_ > 0)) {
     for (std::size_t gi = 0; gi < plan_.groups.size(); ++gi) {
@@ -289,13 +281,6 @@ obs::RunReport Executor::run_report() const {
   rep.trace_dropped = obs::TraceSession::dropped();
   rep.metrics_json = obs::Metrics::instance().snapshot_json();
   return rep;
-}
-
-bool Executor::dependence_scheduled() const {
-  // Armed fault sites force the barrier schedule: kPoolAlloc throws and
-  // kKernelOutput poisons shared state, neither of which may happen
-  // concurrently inside the persistent region.
-  return sched_on_ && !fault::FaultInjector::instance().any_armed();
 }
 
 View Executor::array_view(int array_id, const ir::FunctionDecl& shape,
@@ -343,19 +328,21 @@ View Executor::resolve_bind(const SourceBind& b,
   return array_view(b.index, plan_.pipe.funcs[b.func], b.func);
 }
 
+int Executor::team_threads() const {
+  return std::min(max_threads(), static_cast<int>(workspaces_.size()));
+}
+
 bool Executor::poll_abort() {
-  // Granule heartbeat: every poll site is a granule boundary on both
-  // schedules, so the epoch advances exactly as often as the run can
-  // react to a trip — a frozen epoch IS a stall. Bumping while aborting
-  // is deliberate: a draining run is progressing toward termination.
+  // Granule heartbeat: every poll site is a granule boundary, so the
+  // epoch advances exactly as often as the run can react to a trip — a
+  // frozen epoch IS a stall. Bumping while aborting is deliberate: a
+  // draining run is progressing toward termination.
   progress_epoch_.fetch_add(1, std::memory_order_relaxed);
   if (progress_sink_ != nullptr) {
     progress_sink_->fetch_add(1, std::memory_order_relaxed);
   }
   // Monotonic fast path: one relaxed load once the run is aborting (or
-  // while no token is attached). Read-read coherence on abort_ plus the
-  // scheduler's release/acquire edges guarantee a task queued after a
-  // skipped predecessor also observes the abort.
+  // while no token is attached).
   if (abort_.load(std::memory_order_relaxed) != 0) return true;
   const CancelToken* tok = cancel_;
   if (tok == nullptr) return false;
@@ -447,13 +434,9 @@ void Executor::run(std::span<const View> externals) {
   // the token itself (still expired?) re-trips on the first poll.
   abort_.store(0, std::memory_order_relaxed);
 
-  if (dependence_scheduled()) {
-    run_dependence(externals);
-  } else {
-    run_barrier(externals);
-  }
+  run_groups(externals);
   // OpenMP forbids exceptions escaping a parallel region, so an aborted
-  // run surfaces here, after both schedules have fully drained.
+  // run surfaces here, after the last region has joined.
   raise_abort();
   ++runs_timed_;
   ctr_runs_->add(1);
@@ -467,9 +450,9 @@ View Executor::output_view(int i) const {
 }
 
 // ---------------------------------------------------------------------------
-// Shared task kernels. Both schedules execute tiles and slabs through
-// these two functions, so the per-point computation — and therefore the
-// bit pattern of every result — is schedule-independent by construction.
+// Granule kernels: one Loops slab, one overlapped tile. Whichever thread
+// runs a granule computes the same points the same way, so the bit
+// pattern of every result is independent of the thread count.
 // ---------------------------------------------------------------------------
 
 void Executor::exec_loops_part(int gi, int p, const Box& part,
@@ -579,10 +562,10 @@ void Executor::exec_overlap_tile(int gi, index_t ti,
 }
 
 // ---------------------------------------------------------------------------
-// Barrier schedule: one fork/join per group, groups strictly in order.
+// Groups strictly in order, one fork/join each (the paper's Fig. 8 shape).
 // ---------------------------------------------------------------------------
 
-void Executor::run_barrier(std::span<const View> externals) {
+void Executor::run_groups(std::span<const View> externals) {
   for (std::size_t gi = 0; gi < plan_.groups.size(); ++gi) {
     // Group-boundary poll; the group bodies below also poll per
     // tile/slab, so a trip inside a large group skips its remaining
@@ -717,12 +700,13 @@ void Executor::run_loops_group(int gi, std::span<const View> externals) {
     }
     // Straightforward parallelization: OpenMP on the outermost grid
     // dimension, in slabs to amortize per-call setup.
+    const int nteam = team_threads();
     const poly::Interval d0 = f.domain.dim(0);
-    const index_t slab = std::max<index_t>(
-        1, d0.size() / (static_cast<index_t>(max_threads()) * 8));
+    const index_t slab =
+        std::max<index_t>(1, d0.size() / (static_cast<index_t>(nteam) * 8));
     const index_t nslabs = poly::ceildiv(d0.size(), slab);
     note_parallel_region();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for num_threads(nteam) schedule(static)
     for (index_t si = 0; si < nslabs; ++si) {
       // Slab-granular poll: omp for cannot break, so aborted slabs
       // just skip their body (the outputs are unspecified anyway).
@@ -748,14 +732,13 @@ void Executor::run_overlap_group(int gi, std::span<const View> externals) {
   // its runtime equivalent. Without collapse only the outermost tile
   // dimension is parallel and inner tile loops run sequentially within
   // each chunk — same work, coarser chunking.
-  const index_t parallel_extent =
-      g.collapse_depth > 1 ? tiles.total : tiles.ntiles[0];
+  const index_t parallel_extent = parallel_chunks(g);
   const index_t tiles_per_chunk =
       g.collapse_depth > 1 ? 1
                            : tiles.total / std::max<index_t>(1, tiles.ntiles[0]);
 
   note_parallel_region();
-#pragma omp parallel
+#pragma omp parallel num_threads(team_threads())
   {
     const int tid = thread_id();
 #pragma omp for schedule(static)
@@ -810,412 +793,14 @@ void Executor::run_timetile_group(int gi, std::span<const View> externals) {
                            });
   }
 
-  // The sweep is one collective unit: poll once before it (overshoot is
-  // bounded by one smoother-chain sweep, the schedule's natural granule).
+  // The sweep is one unit: poll once before it (overshoot is bounded by
+  // one smoother-chain sweep, the group's natural granule).
   if (poll_abort()) return;
   TimeTileParams params{g.dtile_H, g.dtile_W};
   PMG_TRACE_NOW(t0);
   time_tiled_sweep(chain, bufs, stage_srcs_, params);
   PMG_TRACE_SPAN_R(TimeTileExec, t0, gi, g.stages.front().func, gi,
                    static_cast<double>(steps), trace_req_);
-}
-
-// ---------------------------------------------------------------------------
-// Dependence schedule: one persistent parallel region per run().
-//
-// Liveness argument, in brief: every task's predecessor counter is
-// decremented exactly once per explicit edge plus exactly once when its
-// node's gate opens; the counter therefore reaches zero exactly once and
-// the task enters the queue exactly once. Gates open in node order
-// (node 0 and 1 up front, node k+2 when the completion frontier passes
-// node k), and the frontier always advances because the thread finishing
-// a node's last task advances it before reporting the task complete.
-// ---------------------------------------------------------------------------
-
-void Executor::reset_sched_state() {
-  const opt::SchedGraph& sg = plan_.sched;
-  for (std::size_t t = 0; t < pred_.size(); ++t) {
-    // +1 is the gate predecessor (prefix rule).
-    pred_[t].store(sg.pred_count[t] + 1, std::memory_order_relaxed);
-    queue_[t].store(0, std::memory_order_relaxed);
-  }
-  qhead_.store(0, std::memory_order_relaxed);
-  qtail_.store(0, std::memory_order_relaxed);
-  for (std::size_t ni = 0; ni < node_remaining_.size(); ++ni) {
-    node_remaining_[ni].store(sg.nodes[ni].ntasks,
-                              std::memory_order_relaxed);
-    node_complete_[ni].store(0, std::memory_order_relaxed);
-  }
-  frontier_.store(0, std::memory_order_relaxed);
-  for (auto& pc : phase_completed_) pc.store(0, std::memory_order_relaxed);
-  for (auto& ge : group_ensured_) ge.store(0, std::memory_order_relaxed);
-  next_ensure_ = 0;
-  std::fill(release_pending_.begin(), release_pending_.end(), 0);
-  std::fill(node_seconds_acc_.begin(), node_seconds_acc_.end(), 0.0);
-}
-
-void Executor::ensure_group_arrays_locked(int gi) {
-  // A task of group gi may start before any task of an earlier,
-  // independent group, so every group up to gi becomes live here, in
-  // order. Group h-1's releases then follow group h's allocations: the
-  // pool's first fit sees one fixed sequence, and a run after the first
-  // reuses exactly the buffers the first one created.
-  while (next_ensure_ <= gi) {
-    const int h = next_ensure_++;
-    for (const StagePlan& sp : plan_.groups[static_cast<std::size_t>(h)].stages) {
-      if (sp.array >= 0) ensure_array(sp.array);
-    }
-    // Release pairs with the acquire fast path in ensure_group_arrays: a
-    // thread seeing 1 sees the array_ptr_ stores above.
-    group_ensured_[static_cast<std::size_t>(h)].store(
-        1, std::memory_order_release);
-    if (h > 0 && release_pending_[static_cast<std::size_t>(h) - 1] != 0) {
-      release_pending_[static_cast<std::size_t>(h) - 1] = 0;
-      release_arrays(releasable_after_group_[static_cast<std::size_t>(h) - 1]);
-    }
-  }
-}
-
-void Executor::ensure_group_arrays(int gi) {
-  if (group_ensured_[static_cast<std::size_t>(gi)].load(
-          std::memory_order_acquire)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  ensure_group_arrays_locked(gi);
-}
-
-void Executor::push_task(index_t t) {
-  const index_t slot = qtail_.fetch_add(1, std::memory_order_relaxed);
-  // Stored +1 so an unpublished slot reads as zero.
-  queue_[static_cast<std::size_t>(slot)].store(t + 1,
-                                               std::memory_order_release);
-}
-
-bool Executor::pop_task(index_t& out) {
-  index_t h = qhead_.load(std::memory_order_relaxed);
-  while (true) {
-    if (h >= qtail_.load(std::memory_order_acquire)) return false;
-    if (qhead_.compare_exchange_weak(h, h + 1, std::memory_order_acq_rel,
-                                     std::memory_order_relaxed)) {
-      // The producer bumps qtail before publishing the slot: spin for
-      // the release-store (bounded — the producer is between the two).
-      index_t v;
-      while ((v = queue_[static_cast<std::size_t>(h)].load(
-                  std::memory_order_acquire)) == 0) {
-        cpu_pause();
-      }
-      out = v - 1;
-      return true;
-    }
-  }
-}
-
-void Executor::open_gate(index_t node) {
-  const opt::SchedGraph& sg = plan_.sched;
-  if (node >= static_cast<index_t>(sg.nodes.size())) return;
-  const SchedNode& n = sg.nodes[static_cast<std::size_t>(node)];
-  // Collective nodes are ordered by their phase's barriers.
-  if (n.collective) return;
-  ctr_gate_opens_->add(1);
-  PMG_TRACE_INSTANT_R(GateOpen, n.group, n.stage, static_cast<int>(node),
-                      static_cast<double>(n.ntasks), trace_req_);
-  for (index_t t = n.task_base; t < n.task_base + n.ntasks; ++t) {
-    if (pred_[static_cast<std::size_t>(t)].fetch_sub(
-            1, std::memory_order_acq_rel) == 1) {
-      push_task(t);
-    }
-  }
-}
-
-void Executor::retire_node(index_t k) {
-  const opt::SchedGraph& sg = plan_.sched;
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  // Pool releases stay sound under overlap: an array released here had
-  // its last use in a group whose nodes all sit at or before the
-  // frontier, and the only nodes still in flight are at most one past it
-  // — by definition in a strictly later group than the released array's
-  // last reader.
-  const int g = sg.nodes[static_cast<std::size_t>(k)].group;
-  const bool group_done =
-      k + 1 == static_cast<index_t>(sg.nodes.size()) ||
-      sg.nodes[static_cast<std::size_t>(k) + 1].group != g;
-  if (group_done && plan_.opts.pooled_allocation) {
-    const std::size_t next = static_cast<std::size_t>(g) + 1;
-    if (next < group_ensured_.size() &&
-        group_ensured_[next].load(std::memory_order_relaxed) == 0) {
-      release_pending_[static_cast<std::size_t>(g)] = 1;  // see ensure
-    } else {
-      release_arrays(releasable_after_group_[static_cast<std::size_t>(g)]);
-    }
-  }
-  PMG_TRACE_INSTANT_R(NodeRetire, g, -1, static_cast<int>(k), 0.0,
-                      trace_req_);
-  // The frontier reached k+1, so the gate of node k+2 may open.
-  open_gate(k + 2);
-}
-
-void Executor::advance_frontier() {
-  const index_t nnodes = static_cast<index_t>(plan_.sched.nodes.size());
-  index_t f = frontier_.load(std::memory_order_acquire);
-  while (f < nnodes &&
-         node_complete_[static_cast<std::size_t>(f)].load(
-             std::memory_order_acquire) != 0) {
-    if (frontier_.compare_exchange_weak(f, f + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-      retire_node(f);
-      ++f;
-    }
-  }
-}
-
-void Executor::node_done(int node) {
-  node_complete_[static_cast<std::size_t>(node)].store(
-      1, std::memory_order_release);
-  advance_frontier();
-}
-
-void Executor::finish_task(index_t t, int node) {
-  const opt::SchedGraph& sg = plan_.sched;
-  for (index_t k = sg.succ_off[static_cast<std::size_t>(t)];
-       k < sg.succ_off[static_cast<std::size_t>(t) + 1]; ++k) {
-    const index_t s = sg.succ[static_cast<std::size_t>(k)];
-    // Collective successors never enter the queue — the phase barrier
-    // structure runs them; their counter still drains for uniformity.
-    if (pred_[static_cast<std::size_t>(s)].fetch_sub(
-            1, std::memory_order_acq_rel) == 1 &&
-        !sg.nodes[static_cast<std::size_t>(task_node_[
-            static_cast<std::size_t>(s)])].collective) {
-      push_task(s);
-    }
-  }
-  if (node_remaining_[static_cast<std::size_t>(node)].fetch_sub(
-          1, std::memory_order_acq_rel) == 1) {
-    node_done(node);
-  }
-  // Last: the phase exit test must observe the retirement chain above.
-  phase_completed_[static_cast<std::size_t>(phase_of_node_[
-      static_cast<std::size_t>(node)])]
-      .fetch_add(1, std::memory_order_release);
-}
-
-void Executor::exec_task(index_t t, std::span<const View> externals,
-                         int tid) {
-  const int ni = task_node_[static_cast<std::size_t>(t)];
-  const SchedNode& n = plan_.sched.nodes[static_cast<std::size_t>(ni)];
-  // Task-granular poll. An aborted task skips its kernel body (and its
-  // group's allocations) but MUST still run finish_task: successor
-  // releases, node retirement and the phase-exit counter are what let
-  // every thread leave the parallel region — the abort drains the
-  // protocol instead of abandoning it.
-  if (poll_abort()) {
-    finish_task(t, ni);
-    return;
-  }
-  ensure_group_arrays(n.group);
-  Timer tm;
-  if (n.stage >= 0) {
-    const GroupPlan& g = plan_.groups[static_cast<std::size_t>(n.group)];
-    const ir::FunctionDecl& f =
-        plan_.pipe.funcs[g.stages[static_cast<std::size_t>(n.stage)].func];
-    Box part = f.domain;
-    if (!n.serial) {
-      const index_t lt = t - n.task_base;
-      const poly::Interval d0 = f.domain.dim(0);
-      part.dim(0) = poly::Interval{
-          d0.lo + lt * n.slab,
-          std::min(d0.lo + (lt + 1) * n.slab - 1, d0.hi)};
-    }
-    exec_loops_part(n.group, n.stage, part, externals, tid);
-  } else if (n.serial) {
-    const GroupPlan& g = plan_.groups[static_cast<std::size_t>(n.group)];
-    for (index_t ti = 0; ti < g.tiles.total; ++ti) {
-      if (poll_abort()) break;  // serial chains still stop per tile
-      exec_overlap_tile(n.group, ti, externals, tid);
-    }
-  } else {
-    exec_overlap_tile(n.group, t - n.task_base, externals, tid);
-  }
-  node_seconds_acc_[static_cast<std::size_t>(tid) *
-                        plan_.sched.nodes.size() +
-                    static_cast<std::size_t>(ni)] += tm.elapsed();
-  finish_task(t, ni);
-}
-
-void Executor::task_loop(int phase, std::span<const View> externals,
-                         int tid) {
-  const index_t target = phase_total_[static_cast<std::size_t>(phase)];
-  auto& completed = phase_completed_[static_cast<std::size_t>(phase)];
-  int idle = 0;
-  // Queue telemetry stays in locals inside the loop (no shared-cacheline
-  // traffic per task) and flushes once per phase; an idle episode between
-  // two pops becomes one QueueWait span with its spin count as value.
-  std::int64_t pops = 0;
-  std::int64_t spins = 0;
-  std::int64_t wait_t0 = -1;
-  std::int64_t wait_spins = 0;
-  while (completed.load(std::memory_order_acquire) < target) {
-    index_t t;
-    if (pop_task(t)) {
-      idle = 0;
-      ++pops;
-      if (wait_t0 >= 0) {
-        PMG_TRACE_SPAN_R(QueueWait, wait_t0, -1, phase, tid,
-                         static_cast<double>(wait_spins), trace_req_);
-        wait_t0 = -1;
-        wait_spins = 0;
-      }
-      exec_task(t, externals, tid);
-      continue;
-    }
-    ++spins;
-    ++wait_spins;
-    if (wait_t0 < 0 && PMG_TRACE_ACTIVE()) wait_t0 = obs::trace_now_ns();
-    if (++idle < 128) {
-      cpu_pause();
-    } else if (idle < 1024) {
-      // Oversubscribed teams (more threads than cores) must yield or the
-      // spinners starve the one thread holding real work.
-      yield_thread();
-    } else {
-      // Still nothing after ~1k attempts: the remaining work is a serial
-      // chain on some other thread. Sleep instead of yield-storming — on
-      // an oversubscribed host a constantly-yielding spinner still takes
-      // its scheduler timeslices from the worker.
-      idle_sleep();
-      idle = 128;  // re-enter the yield band, skip the pause burst
-    }
-  }
-  if (wait_t0 >= 0) {
-    // Starved until the phase drained: close the episode at phase exit.
-    PMG_TRACE_SPAN_R(QueueWait, wait_t0, -1, phase, tid,
-                     static_cast<double>(wait_spins), trace_req_);
-  }
-  queue_pops_.fetch_add(pops, std::memory_order_relaxed);
-  queue_spins_.fetch_add(spins, std::memory_order_relaxed);
-  ctr_pops_->add(pops);
-  ctr_spins_->add(spins);
-}
-
-void Executor::run_collective_phase(const Phase& ph,
-                                    std::span<const View> externals,
-                                    int tid) {
-  const int ni = ph.first_node;
-  const SchedNode& n = plan_.sched.nodes[static_cast<std::size_t>(ni)];
-  const int gi = n.group;
-  const GroupPlan& g = plan_.groups[static_cast<std::size_t>(gi)];
-  Timer tm;
-  // The team-wide sweep has internal barriers, so every thread must make
-  // the same run/skip decision. Only tid 0 polls, before the barrier;
-  // after the barrier all threads read the (now stable for this phase)
-  // abort flag, so the team agrees by construction.
-  if (tid == 0) poll_abort();
-  if (tid == 0 && abort_.load(std::memory_order_relaxed) == 0) {
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      ensure_group_arrays_locked(gi);
-      ensure_array(g.time_temp_array);
-    }
-    // Prologue identical to the barrier path's run_timetile_group.
-    const StagePlan& last = g.stages.back();
-    const ir::FunctionDecl& step_fn = plan_.pipe.funcs[g.stages.front().func];
-    const int steps = static_cast<int>(g.stages.size());
-    time_bufs_[steps & 1] =
-        array_view(last.array, step_fn, g.stages.front().func);
-    time_bufs_[1 - (steps & 1)] =
-        array_view(g.time_temp_array, step_fn, g.stages.front().func);
-    stage_srcs_.assign(step_fn.sources.size(), View{});
-    const View v0 = resolve_bind(binds_[gi][0][0], externals, {});
-    for (std::size_t s = 1; s < step_fn.sources.size(); ++s) {
-      stage_srcs_[s] = resolve_bind(binds_[gi][0][s], externals, {});
-    }
-    copy_view(time_bufs_[0], v0, step_fn.domain);
-    for (View b : {time_bufs_[0], time_bufs_[1]}) {
-      for_each_boundary_slab(
-          step_fn.domain, step_fn.interior, [&](const Box& slab) {
-            if (step_fn.boundary == ir::BoundaryKind::Zero) {
-              fill_view(b, slab, 0.0);
-            } else {
-              copy_view(b, v0, slab);
-            }
-          });
-    }
-  }
-  team_barrier();
-  if (abort_.load(std::memory_order_acquire) == 0) {
-    TimeTileParams params{g.dtile_H, g.dtile_W};
-    PMG_TRACE_NOW(t0);
-    time_tiled_sweep_team(chain_[static_cast<std::size_t>(gi)], time_bufs_,
-                          stage_srcs_, params);
-    PMG_TRACE_SPAN_R(TimeTileExec, t0, gi, g.stages.front().func, gi,
-                     static_cast<double>(g.stages.size()), trace_req_);
-  }
-  team_barrier();
-  if (tid == 0) {
-    node_seconds_acc_[static_cast<std::size_t>(ni)] += tm.elapsed();
-    finish_task(n.task_base, ni);
-  }
-}
-
-void Executor::run_dependence(std::span<const View> externals) {
-  reset_sched_state();
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    open_gate(0);
-    open_gate(1);
-  }
-  // Cap the team at the capacity resolved at construction (workspaces,
-  // arenas, timer slots are per-thread).
-  const int nteam =
-      std::min(max_threads(), static_cast<int>(workspaces_.size()));
-  note_parallel_region();
-#pragma omp parallel num_threads(nteam)
-  {
-    const int tid = thread_id();
-    for (std::size_t p = 0; p < phases_.size(); ++p) {
-      const Phase& ph = phases_[p];
-      // One barrier per phase boundary; in the common all-tile pipeline
-      // there is a single phase, i.e. one barrier per run.
-#pragma omp barrier
-      if (ph.collective) {
-        run_collective_phase(ph, externals, tid);
-      } else {
-        task_loop(static_cast<int>(p), externals, tid);
-      }
-    }
-    tsan_join_release();
-  }
-  tsan_join_acquire();
-  // Fold the per-thread task timers into the public counters. Dependence
-  // runs attribute CPU seconds (groups overlap in wall time by design).
-  const std::size_t nnodes = plan_.sched.nodes.size();
-  std::fill(dep_group_run_seconds_.begin(), dep_group_run_seconds_.end(),
-            0.0);
-  for (std::size_t ni = 0; ni < nnodes; ++ni) {
-    double s = 0.0;
-    for (std::size_t tid = 0; tid < workspaces_.size(); ++tid) {
-      s += node_seconds_acc_[tid * nnodes + ni];
-    }
-    if (s == 0.0) continue;
-    const SchedNode& n = plan_.sched.nodes[ni];
-    const GroupPlan& g = plan_.groups[static_cast<std::size_t>(n.group)];
-    group_seconds_[static_cast<std::size_t>(n.group)] += s;
-    dep_group_run_seconds_[static_cast<std::size_t>(n.group)] += s;
-    const int func = n.stage >= 0
-                         ? g.stages[static_cast<std::size_t>(n.stage)].func
-                         : g.stages[static_cast<std::size_t>(g.anchor)].func;
-    stage_seconds_[static_cast<std::size_t>(func)] += s;
-  }
-  // One histogram observation per group per run — same grain as the
-  // barrier path, so the per-stage latency distributions are
-  // schedule-independent in shape.
-  for (std::size_t gi = 0; gi < dep_group_run_seconds_.size(); ++gi) {
-    if (dep_group_run_seconds_[gi] > 0.0) {
-      hist_group_ns_[gi]->record(
-          static_cast<std::int64_t>(dep_group_run_seconds_[gi] * 1e9));
-    }
-  }
 }
 
 }  // namespace polymg::runtime

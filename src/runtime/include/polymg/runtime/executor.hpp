@@ -7,34 +7,29 @@
 // pooled allocator (or per-cycle allocations for the variants without
 // pooling) with pool_deallocate emitted at each array's last-use group.
 //
-// Two schedules share the same per-tile/per-slab kernels:
+// The schedule is the one the paper's generated code (Fig. 8) uses: groups
+// run strictly in order, each as one fork/join — a parallel loop over
+// dimension-0 slabs per Loops stage, over anchor tiles for an overlap
+// group, over split-tiling blocks for a time-tiled chain. Loops stages
+// below the plan's serial grain run on the calling thread instead. The
+// executor's own regions fork the thread capacity sized at construction —
+// the OpenMP thread count then, capped at the plan's widest group — or
+// fewer, so an executor built at one thread count may run at any other.
 //
-//  * barrier schedule — one fork/join per group, groups strictly in
-//    order. Used when the plan has no dependence graph (Naive, the
-//    guarded reference oracle) and whenever fault injection is armed.
-//  * dependence schedule — ONE parallel region per run(). Threads pull
-//    ready tasks from an atomic queue and release successors through the
-//    plan's SchedGraph (point-to-point atomic decrements), so tiles of
-//    group g+1 start while tiles of g are still in flight. A prefix
-//    "gate" keeps every task at least two nodes behind the completion
-//    frontier, which is what lets edges look only one node back.
-//
-// Outputs are bit-exact across the two schedules and any thread count:
-// tasks never share a written point and the executor performs no
-// cross-point reductions, so the partition cannot change any value.
+// Outputs are bit-exact across thread counts: slabs and tiles never share
+// a written point and the executor performs no cross-point reductions,
+// so the partition cannot change any value.
 //
 // Everything derivable from the plan alone — source bindings, scratchpad
-// offsets, time-tile chains, release lists, per-thread workspaces, the
-// scheduler's atomic state — is resolved once at construction, so a
-// steady-state run() performs no heap allocation and no per-tile
-// re-derivation (the per-tile regions come from the plan's
-// tile_regions_cache).
+// offsets, time-tile chains, release lists, per-thread workspaces — is
+// resolved once at construction, so a steady-state run() performs no heap
+// allocation and no per-tile re-derivation (the per-tile regions come
+// from the plan's tile_regions_cache).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -71,30 +66,25 @@ public:
   const opt::CompiledPipeline& plan() const { return plan_; }
   const MemoryPool& pool() const { return pool_; }
 
-  /// True when run() executes the dependence schedule (plan carries a
-  /// graph and no fault site is armed).
-  bool dependence_scheduled() const;
-
   /// Attach a cooperative cancellation token (non-owning; the token must
-  /// outlive every run, nullptr detaches). Both schedules poll it at task
-  /// granularity — a tile, a slab, a stage — and on a trip the run stops
-  /// scheduling kernel bodies, drains its scheduling protocol and run()
-  /// throws Error(DeadlineExceeded or Cancelled) after the parallel
-  /// region exits: OpenMP forbids throwing across a region, so the abort
-  /// is a flag the tasks check, never an exception in flight. An aborted
-  /// run leaves outputs unspecified (callers keep their last good iterate
-  /// and must not copy out) but leaves the executor itself reusable — the
-  /// next run() resets all pool and scheduler state. Set/clear only
-  /// between runs.
+  /// outlive every run, nullptr detaches). run() polls it at every granule
+  /// — a tile, a slab, a stage, a group — and on a trip skips the
+  /// remaining kernel bodies; run() throws Error(DeadlineExceeded or
+  /// Cancelled) after the parallel region exits: OpenMP forbids throwing
+  /// across a region, so the abort is a flag the granules check, never an
+  /// exception in flight. An aborted run leaves outputs unspecified
+  /// (callers keep their last good iterate and must not copy out) but
+  /// leaves the executor itself reusable — the next run() resets all pool
+  /// state. Set/clear only between runs.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
   const CancelToken* cancel_token() const { return cancel_; }
 
   /// Progress epoch: a relaxed-atomic counter bumped at every granule
-  /// boundary of both schedules (tile, slab, stage, group, collective
-  /// sweep — the same places the abort poll runs). A frozen epoch while
-  /// a run is in flight means the executor has stopped making progress;
-  /// the service watchdog samples it to detect stalls. Monotone within
-  /// and across runs; never reset.
+  /// boundary (tile, slab, stage, group, time-tiled sweep — the same
+  /// places the abort poll runs). A frozen epoch while a run is in flight
+  /// means the executor has stopped making progress; the service watchdog
+  /// samples it to detect stalls. Monotone within and across runs; never
+  /// reset.
   std::uint64_t progress_epoch() const {
     return progress_epoch_.load(std::memory_order_relaxed);
   }
@@ -110,24 +100,23 @@ public:
 
   /// Request span context: the service ticket on whose behalf subsequent
   /// runs execute (-1 = none). Stamped into TraceEvent::req on every
-  /// event the executor records — tile/slab/group spans, queue waits,
-  /// gate opens, retirements — so a Perfetto export nests kernel spans
-  /// under the request that caused them. A plain member rather than a
-  /// thread_local because OpenMP team threads are not the submitting
-  /// thread: every team thread reads the member set before run(). Set or
-  /// clear only between runs, like the cancel token.
+  /// event the executor records — group, tile, slab and sweep spans and
+  /// scratchpad binds — so a Perfetto export nests kernel spans under the
+  /// request that caused them. A plain member rather than a thread_local
+  /// because OpenMP team threads are not the submitting thread: every
+  /// team thread reads the member set before run(). Set or clear only
+  /// between runs, like the cancel token.
   void set_trace_request(std::int32_t req) { trace_req_ = req; }
   std::int32_t trace_request() const { return trace_req_; }
 
   /// Arm hardware-counter sampling (cycles, instructions, LLC misses via
-  /// perf_event_open) around each barrier-schedule group execution, for
-  /// the run_report() roofline table. Counters follow the calling thread
-  /// only, so attribution is meaningful when the executor runs
-  /// single-threaded; the dependence schedule's persistent team is never
-  /// sampled. Returns false when the kernel refuses perf_event_open
-  /// (containers, paranoid settings, non-Linux); attribution stays armed
-  /// and run_report() emits the model-only roofline rows — callers skip
-  /// the hw columns, they do not fail (DESIGN.md §14).
+  /// perf_event_open) around each group execution, for the run_report()
+  /// roofline table. Counters follow the calling thread only, so
+  /// attribution is meaningful when the executor runs single-threaded.
+  /// Returns false when the kernel refuses perf_event_open (containers,
+  /// paranoid settings, non-Linux); attribution stays armed and
+  /// run_report() emits the model-only roofline rows — callers skip the
+  /// hw columns, they do not fail (DESIGN.md §14).
   bool enable_perf_attribution();
   void disable_perf_attribution();
   bool perf_attribution_enabled() const { return perf_ != nullptr; }
@@ -136,10 +125,7 @@ public:
   index_t peak_array_doubles() const { return peak_array_doubles_; }
 
   // --- Timing counters (accumulated across run() calls). ---
-  /// Seconds spent in each group, index parallel to plan().groups.
-  /// Barrier schedule: wall time per group. Dependence schedule: CPU
-  /// seconds summed over the team's task executions (equal to wall time
-  /// at one thread; groups overlap in wall time by design otherwise).
+  /// Wall seconds spent in each group, index parallel to plan().groups.
   const std::vector<double>& group_seconds() const { return group_seconds_; }
   /// Seconds attributed to each function's stage. Loops groups time every
   /// stage individually; tiled groups fuse stages, so their whole group
@@ -147,18 +133,8 @@ public:
   const std::vector<double>& stage_seconds() const { return stage_seconds_; }
   /// Completed run() invocations since construction / reset_timers().
   std::int64_t runs_timed() const { return runs_timed_; }
-  /// Dependence-scheduler queue telemetry (accumulated across runs):
-  /// successful MPMC pops and failed attempts (spin iterations). Both
-  /// zero under the barrier schedule.
-  std::int64_t queue_pops() const {
-    return queue_pops_.load(std::memory_order_relaxed);
-  }
-  std::int64_t queue_spins() const {
-    return queue_spins_.load(std::memory_order_relaxed);
-  }
   /// Reset every accumulated telemetry counter: per-group and per-stage
-  /// seconds, the per-thread node timer vector, queue pop/spin counters
-  /// and the run count.
+  /// seconds, the hardware-counter sums and the run count.
   void reset_timers();
 
   /// Per-group / per-stage time attribution plus a metrics snapshot,
@@ -182,15 +158,6 @@ private:
     std::vector<View> srcs;
   };
 
-  /// A maximal run of non-collective schedule nodes (task phase), or a
-  /// single collective (TimeTiled) node executed by the whole team
-  /// between barriers.
-  struct Phase {
-    bool collective = false;
-    int first_node = 0;
-    int end_node = 0;  ///< exclusive
-  };
-
   /// View over a live full array, shaped by `shape` and tagged with the
   /// storage dtype the plan assigned to `func` (arrays themselves are
   /// dtype-agnostic double-unit storage; the tag drives every kernel's
@@ -203,54 +170,36 @@ private:
   void ensure_array(int array_id);
   void release_arrays(const std::vector<int>& ids);
 
+  /// Threads a region may fork: the run-time OpenMP thread count, capped
+  /// at the per-thread workspaces and arenas sized at construction.
+  /// Kernels index those by thread_id(), so an executor built at fewer
+  /// threads than it later runs at must not fork past its capacity.
+  /// The Loops and overlap regions all fork this many, so libgomp does
+  /// not resize the team between them (shrinking a team ends surplus
+  /// threads; growing it creates them).
+  int team_threads() const;
+
   /// Poll the cancellation token. True once the run is aborting: the
-  /// caller must skip its kernel body (but still run its scheduling
-  /// bookkeeping so the dependence protocol drains). Monotonic within a
-  /// run — after the first trip every poll answers true without touching
-  /// the clock. With no token attached this is one relaxed load.
+  /// caller skips its kernel body. Monotonic within a run — after the
+  /// first trip every poll answers true without touching the clock. With
+  /// no token attached this is one relaxed load.
   bool poll_abort();
   /// Throw the typed error recorded by poll_abort(); called by run()
   /// after the parallel region has exited. Resets nothing — the next
   /// run() does.
   void raise_abort();
 
-  // --- Barrier schedule (also the fault-injection path). ---
-  void run_barrier(std::span<const View> externals);
+  /// Execute every group in order, one fork/join each.
+  void run_groups(std::span<const View> externals);
   void run_loops_group(int gi, std::span<const View> externals);
   void run_overlap_group(int gi, std::span<const View> externals);
   void run_timetile_group(int gi, std::span<const View> externals);
 
-  // --- Shared task kernels (both schedules route through these). ---
+  /// One overlapped tile / one Loops slab on team thread `tid`.
   void exec_overlap_tile(int gi, index_t ti,
                          std::span<const View> externals, int tid);
   void exec_loops_part(int gi, int p, const Box& part,
                        std::span<const View> externals, int tid);
-
-  // --- Dependence schedule (persistent team). ---
-  void run_dependence(std::span<const View> externals);
-  void reset_sched_state();
-  void task_loop(int phase, std::span<const View> externals, int tid);
-  void exec_task(index_t t, std::span<const View> externals, int tid);
-  void finish_task(index_t t, int node);
-  void push_task(index_t t);
-  bool pop_task(index_t& out);
-  void node_done(int node);
-  void advance_frontier();
-  void retire_node(index_t k);
-  /// Release the gate predecessor of every task of `node` (skips
-  /// collectives — their ordering comes from the phase barriers).
-  /// Serialized by pool_mu_.
-  void open_gate(index_t node);
-  /// Make a group's arrays live on first use (double-checked: arrays are
-  /// allocated when the group's first task starts, not when its gate
-  /// opens, so pooled lifetimes match the barrier schedule's). Groups
-  /// become live strictly in order, and group g's releases wait until
-  /// group g+1 is live, so the pool sees the same allocate/release
-  /// sequence on every run whatever the task interleaving.
-  void ensure_group_arrays(int gi);
-  void ensure_group_arrays_locked(int gi);
-  void run_collective_phase(const Phase& ph,
-                            std::span<const View> externals, int tid);
 
   opt::CompiledPipeline plan_;
   MemoryPool pool_;
@@ -267,30 +216,7 @@ private:
   std::vector<std::vector<index_t>> scratch_off_;  // [g]: arena prefix sums
   std::vector<std::vector<ChainStep>> chain_;      // [g] (TimeTiled only)
   std::vector<Workspace> workspaces_;              // per thread
-  std::vector<View> stage_srcs_;  // Loops / TimeTiled source scratch
-
-  // --- Dependence-scheduler state (preallocated; reset per run). ---
-  bool sched_on_ = false;
-  std::vector<Phase> phases_;
-  std::vector<int> phase_of_node_;
-  std::vector<std::int32_t> task_node_;  // flat task id -> node index
-  std::vector<std::atomic<std::int32_t>> pred_;  // remaining preds + gate
-  std::vector<std::atomic<index_t>> queue_;      // MPMC ready queue
-  std::atomic<index_t> qhead_{0};
-  std::atomic<index_t> qtail_{0};
-  std::vector<std::atomic<index_t>> node_remaining_;
-  std::vector<std::atomic<std::uint8_t>> node_complete_;
-  std::atomic<index_t> frontier_{0};
-  std::vector<std::atomic<index_t>> phase_completed_;
-  std::vector<index_t> phase_total_;
-  std::vector<std::atomic<std::uint8_t>> group_ensured_;  // per group, this run
-  // Under pool_mu_: the next group to make live, and the groups whose
-  // last node retired before their successor group became live.
-  int next_ensure_ = 0;
-  std::vector<std::uint8_t> release_pending_;  // per group, this run
-  std::mutex pool_mu_;  // pool / array_ptr_ mutations inside the region
-  View time_bufs_[2];   // collective-phase ping-pong pair (set by tid 0)
-  std::vector<double> node_seconds_acc_;  // [tid * nnodes + node]
+  std::vector<View> stage_srcs_;  // TimeTiled source scratch
 
   // --- Cooperative cancellation (reset at each run() entry). ---
   const CancelToken* cancel_ = nullptr;  ///< non-owning; null = no token
@@ -301,8 +227,6 @@ private:
   std::vector<double> group_seconds_;
   std::vector<double> stage_seconds_;
   std::int64_t runs_timed_ = 0;
-  std::atomic<std::int64_t> queue_pops_{0};
-  std::atomic<std::int64_t> queue_spins_{0};
 
   /// Request span context stamped into every trace event (-1 = none).
   std::int32_t trace_req_ = -1;
@@ -313,17 +237,13 @@ private:
   std::atomic<std::uint64_t>* progress_sink_ = nullptr;  ///< non-owning
 
   // --- Hardware-counter attribution (enable_perf_attribution). All
-  // --- accumulators are per group, covering perf_runs_ barrier runs.
+  // --- accumulators are per group, covering perf_runs_ sampled runs.
   std::unique_ptr<obs::PerfCounters> perf_;
   std::vector<std::int64_t> perf_cycles_;
   std::vector<std::int64_t> perf_instr_;
   std::vector<std::int64_t> perf_llc_;
   std::vector<double> perf_seconds_;
   std::int64_t perf_runs_ = 0;
-
-  /// Scratch for the dependence schedule's per-run group seconds (sized
-  /// at construction: the fold must not allocate in steady state).
-  std::vector<double> dep_group_run_seconds_;
 
   /// Per-group latency histograms ("executor.group_ns.g<i>"), resolved
   /// at construction like the counters: recording one group execution is
@@ -334,9 +254,6 @@ private:
   // --- paths touch only the relaxed atomics behind them.
   obs::Counter* ctr_tiles_ = nullptr;        // executor.tiles
   obs::Counter* ctr_slabs_ = nullptr;        // executor.slabs
-  obs::Counter* ctr_pops_ = nullptr;         // executor.queue_pops
-  obs::Counter* ctr_spins_ = nullptr;        // executor.queue_spins
-  obs::Counter* ctr_gate_opens_ = nullptr;   // executor.gate_opens
   obs::Counter* ctr_runs_ = nullptr;         // executor.runs
   obs::Counter* ctr_regions_cached_ = nullptr;    // executor.tile_regions_cached
   obs::Counter* ctr_regions_recomputed_ = nullptr;

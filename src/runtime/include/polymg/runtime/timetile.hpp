@@ -85,50 +85,6 @@ void split_tile_schedule(index_t lo, index_t hi, int steps,
   }
 }
 
-/// Team variant of split_tile_schedule for callers already inside a
-/// parallel region (the persistent-team executor): identical schedule,
-/// but the phase loops are orphaned worksharing constructs that bind to
-/// the enclosing team instead of forking one region per phase. Every
-/// thread of the team must call it with identical arguments; the
-/// implicit barrier at the end of each `omp for` provides the two
-/// barriers per time block the split-tiling dependence structure needs.
-/// Outside a parallel region it degrades to a serial sweep.
-template <typename Body>
-void split_tile_schedule_team(index_t lo, index_t hi, int steps,
-                              const TimeTileParams& params,
-                              const Body& body) {
-  const index_t H = std::max<index_t>(1, params.H);
-  const index_t W = std::max<index_t>(2 * H, params.W);
-  const index_t extent = hi - lo + 1;
-  if (extent <= 0 || steps <= 0) return;
-  const index_t K = poly::ceildiv(extent, W);
-
-  for (int t0 = 0; t0 < steps; t0 += static_cast<int>(H)) {
-    const int h = std::min<int>(static_cast<int>(H), steps - t0);
-
-#pragma omp for schedule(dynamic)
-    for (index_t k = 0; k < K; ++k) {
-      const index_t bk = lo + k * W;
-      const index_t ek = std::min(bk + W - 1, hi);
-      for (int s = 0; s < h; ++s) {
-        const index_t rlo = bk + (k > 0 ? s : 0);
-        const index_t rhi = ek - (k < K - 1 ? s : 0);
-        if (rlo <= rhi) body(t0 + s, rlo, rhi);
-      }
-    }
-
-#pragma omp for schedule(dynamic)
-    for (index_t k = 0; k < K - 1; ++k) {
-      const index_t ek = std::min(lo + (k + 1) * W - 1, hi);
-      for (int s = 1; s < h; ++s) {
-        const index_t rlo = ek - s + 1;
-        const index_t rhi = std::min(ek + s, hi);
-        if (rlo <= rhi) body(t0 + s, rlo, rhi);
-      }
-    }
-  }
-}
-
 /// One time level of a smoother chain.
 struct ChainStep {
   const ir::FunctionDecl* fn = nullptr;
@@ -144,13 +100,6 @@ struct ChainStep {
 void time_tiled_sweep(std::span<const ChainStep> steps, View bufs[2],
                       std::span<const View> other_srcs,
                       const TimeTileParams& params);
-
-/// time_tiled_sweep for callers inside a persistent parallel region: all
-/// team threads call it together (same contract as
-/// split_tile_schedule_team); no parallel region is forked.
-void time_tiled_sweep_team(std::span<const ChainStep> steps, View bufs[2],
-                           std::span<const View> other_srcs,
-                           const TimeTileParams& params);
 
 /// Reference implementation: plain sweeps (used by tests and the naive
 /// smoother path). Same buffer contract.

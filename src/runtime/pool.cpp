@@ -13,10 +13,9 @@ namespace {
 /// First-touch page placement for a fresh slab: fault pages in with the
 /// same static thread partition the executor's parallel loops use, so on
 /// a NUMA machine each page lands on the memory node of the thread that
-/// will process that part of the grid. Inside a parallel region (the
-/// persistent-team scheduler allocates under its pool lock) the calling
-/// thread touches the slab serially — no nested fork. Small slabs are
-/// not worth a fork either way.
+/// will process that part of the grid. Inside a parallel region the
+/// calling thread touches the slab serially — no nested fork. Small
+/// slabs are not worth a fork either way.
 void first_touch_pages(double* p, index_t doubles) {
   constexpr index_t kDoublesPerPage =
       static_cast<index_t>(4096 / sizeof(double));

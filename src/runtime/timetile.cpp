@@ -62,7 +62,7 @@ void check_chain(std::span<const ChainStep> steps,
                            << kMaxChainSrcs << ")");
 }
 
-/// Shared sweep body: thread-private stack-resident source binding
+/// Sweep body: thread-private stack-resident source binding
 /// (slot 0 flips per time level) — runs inside an OpenMP region and must
 /// not touch the heap.
 struct SweepBody {
@@ -92,18 +92,6 @@ void time_tiled_sweep(std::span<const ChainStep> steps, View bufs[2],
   split_tile_schedule(first.interior.dim(0).lo, first.interior.dim(0).hi,
                       static_cast<int>(steps.size()), params,
                       SweepBody{steps, bufs, other_srcs});
-}
-
-void time_tiled_sweep_team(std::span<const ChainStep> steps, View bufs[2],
-                           std::span<const View> other_srcs,
-                           const TimeTileParams& params) {
-  if (steps.empty()) return;
-  check_chain(steps, other_srcs);
-  const ir::FunctionDecl& first = *steps.front().fn;
-  split_tile_schedule_team(first.interior.dim(0).lo,
-                           first.interior.dim(0).hi,
-                           static_cast<int>(steps.size()), params,
-                           SweepBody{steps, bufs, other_srcs});
 }
 
 }  // namespace polymg::runtime

@@ -1,7 +1,7 @@
 // PlanCache — compile once, serve many.
 //
 // The DSL's value proposition inverts at serving time: plan compilation
-// (grouping search, tile-region precomputation, schedule construction) is
+// (grouping search, storage reuse, tile-region precomputation) is
 // worth seconds of solving, but a multi-tenant service sees the same few
 // problem signatures thousands of times. The cache keys a compiled,
 // validated CompiledPipeline by the full (CycleConfig, CompileOptions)

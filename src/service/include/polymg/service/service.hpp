@@ -11,8 +11,8 @@
 //    opt::compile calls);
 //  * a bounded worker pool executes solves, each worker keeping a
 //    persistent per-signature session (GuardedExecutor + checkpoint
-//    pool) so steady-state serving reuses pool pages and scheduler
-//    state across requests;
+//    pool) so steady-state serving reuses pool pages and per-thread
+//    workspaces across requests;
 //  * every request gets a CancelToken armed with its absolute deadline
 //    at ADMISSION — queue time counts against the deadline — which the
 //    executor polls at tile granularity, so a deadline trip returns the

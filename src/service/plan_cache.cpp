@@ -22,7 +22,7 @@ std::string PlanCache::signature(const solvers::CycleConfig& cfg,
      << "x" << t[2] << " g" << opts.group_limit << " ov"
      << opts.overlap_threshold << " r" << opts.intra_group_reuse
      << opts.inter_group_reuse << opts.pooled_allocation << opts.collapse
-     << opts.register_engine << opts.dependence_schedule << " sc"
+     << opts.register_engine << " sc"
      << opts.storage_class_slack << " dt" << opts.dtile_time_block << "/"
      << opts.dtile_width << " sg" << opts.serial_grain << " j"
      << opt::to_string(opts.jit) << " p"

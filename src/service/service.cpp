@@ -72,8 +72,8 @@ struct SolveService::WorkerCtl {
 /// thread, so none of it needs locking: the checkpoint pool keeps its
 /// slot buffers warm across requests, and each problem signature keeps
 /// a session GuardedExecutor whose Executor state (pool pages,
-/// scheduler arrays, per-thread workspaces) is reused by every solve of
-/// that signature on this worker.
+/// per-thread workspaces and arenas) is reused by every solve of that
+/// signature on this worker.
 struct SolveService::WorkerSession {
   runtime::MemoryPool ckpt_pool;
   std::map<std::string, std::unique_ptr<runtime::GuardedExecutor>> executors;

@@ -456,7 +456,7 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
       // A deadline/cancel trip mid-cycle is a stop, not a failure to
       // degrade around: the aborted run never reached the copy-out, so
       // p.v still holds the last completed cycle's iterate (bit-exact
-      // across schedules and thread counts).
+      // across thread counts).
       if (e.code() == ErrorCode::DeadlineExceeded ||
           e.code() == ErrorCode::Cancelled) {
         attempt.error = e.what();

@@ -120,7 +120,7 @@ struct GuardPolicy {
   /// Optional caller-owned executor reused for attempt 0 instead of
   /// constructing one per solve — a service worker that solves the same
   /// signature repeatedly keeps its Executor state (pool pages,
-  /// scheduler arrays, workspaces) warm across requests. Must match the
+  /// per-thread workspaces) warm across requests. Must match the
   /// solve's (cfg, opts) compilation; ladder rungs always build their
   /// own executor. Must outlive the call.
   runtime::GuardedExecutor* session_executor = nullptr;

@@ -350,26 +350,25 @@ TEST(Jit, BitExactAcrossSchedulesAndThreads) {
   // The varcoef family requires the Jacobi smoother; its β-weighted
   // stages are the non-linear (and therefore jitted) kernels.
   CycleConfig cfg = vc2d();
-  CompileOptions dep = CompileOptions::for_variant(Variant::OptPlus, 2);
-  dep.jit = JitMode::On;
-  CompileOptions barrier = dep;
-  barrier.dependence_schedule = false;
+  CompileOptions o = CompileOptions::for_variant(Variant::OptPlus, 2);
+  o.jit = JitMode::On;
+  // The schedule axis: serial grain 0 forks a team for every Loops stage
+  // instead of running the coarse ones on the calling thread.
+  CompileOptions forked = o;
+  forked.serial_grain = 0;
 
   int bound = 0;
-  const std::vector<double> ref = run_bits_vc(cfg, dep, 1, &bound);
+  const std::vector<double> ref = run_bits_vc(cfg, o, 1, &bound);
   ASSERT_GT(bound, 0);
   for (int threads : {2, 4}) {
-    const std::vector<double> got = run_bits_vc(cfg, dep, threads);
-    ASSERT_EQ(ref.size(), got.size());
-    EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
-                             sizeof(double) * ref.size()))
-        << "threads " << threads;
+    for (const CompileOptions& c : {o, forked}) {
+      const std::vector<double> got = run_bits_vc(cfg, c, threads);
+      ASSERT_EQ(ref.size(), got.size());
+      EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                               sizeof(double) * ref.size()))
+          << "threads " << threads << " serial_grain " << c.serial_grain;
+    }
   }
-  const std::vector<double> bar = run_bits_vc(cfg, barrier, 2);
-  ASSERT_EQ(ref.size(), bar.size());
-  EXPECT_EQ(0, std::memcmp(ref.data(), bar.data(),
-                           sizeof(double) * ref.size()))
-      << "barrier schedule";
 }
 
 TEST(Jit, SpecializedPlanMatchesInterpretedBitExact) {

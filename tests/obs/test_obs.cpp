@@ -1,12 +1,12 @@
 // polymg::obs — trace sink, metrics registry and the Chrome exporter.
 //
 // The contract under test: tracing captures typed per-tile events from
-// both schedules in valid Chrome trace_event JSON; the ring wraps by
+// every team thread in valid Chrome trace_event JSON; the ring wraps by
 // dropping oldest events (counted, never growing); with no session
 // active an instrumented steady-state run stays zero-alloc and bit-exact
 // with a traced one; histogram quantiles stay within one bucket width of
 // the exact order statistics under concurrent recording; the request
-// span context rides through both schedules; and the Prometheus
+// span context reaches every team thread; and the Prometheus
 // exposition (text format and scrape endpoint) round-trips the registry.
 #include <gtest/gtest.h>
 
@@ -180,7 +180,7 @@ int count_kind(const std::vector<TraceEvent>& evs, EventKind k) {
 TEST_F(ObsTest, RingWrapsByDroppingOldest) {
   TraceSession::start(/*events_per_thread=*/8);
   for (int i = 0; i < 20; ++i) {
-    trace_instant(EventKind::GateOpen, -1, -1, i, 0.0);
+    trace_instant(EventKind::Residual, -1, -1, i, 0.0);
   }
   TraceSession::stop();
   const std::vector<TraceEvent> evs = TraceSession::snapshot();
@@ -194,9 +194,9 @@ TEST_F(ObsTest, RingWrapsByDroppingOldest) {
 
 TEST_F(ObsTest, RestartDiscardsPriorSession) {
   TraceSession::start(8);
-  trace_instant(EventKind::GateOpen, -1, -1, 1, 0.0);
+  trace_instant(EventKind::Residual, -1, -1, 1, 0.0);
   TraceSession::start(8);
-  trace_instant(EventKind::GateOpen, -1, -1, 2, 0.0);
+  trace_instant(EventKind::Residual, -1, -1, 2, 0.0);
   TraceSession::stop();
   const std::vector<TraceEvent> evs = TraceSession::snapshot();
   ASSERT_EQ(evs.size(), 1u);
@@ -204,36 +204,33 @@ TEST_F(ObsTest, RestartDiscardsPriorSession) {
   EXPECT_EQ(TraceSession::dropped(), 0u);
 }
 
-TEST_F(ObsTest, BothSchedulesEmitPerTileEvents) {
+TEST_F(ObsTest, ExecutorEmitsPerTileEvents) {
 #if defined(POLYMG_TRACE_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (POLYMG_TRACING=OFF)";
 #endif
+  const int threads_before = max_threads();
   auto p = solvers::PoissonProblem::random_rhs(2, w2d().n, 7);
   const std::vector<View> ext = {p.v_view(), p.f_view()};
-  for (bool dependence : {false, true}) {
-    CompileOptions o = CompileOptions::for_variant(Variant::OptPlus, 2);
-    o.dependence_schedule = dependence;
-    Executor ex(opt::compile(solvers::build_cycle(w2d()), o));
-    ASSERT_EQ(ex.dependence_scheduled(), dependence);
+  for (const int threads : {1, 2, 4}) {
+    set_num_threads(threads);
+    Executor ex(opt::compile(solvers::build_cycle(w2d()),
+                             CompileOptions::for_variant(Variant::OptPlus, 2)));
     TraceSession::start();
     ex.run(ext);
     TraceSession::stop();
     const std::vector<TraceEvent> evs = TraceSession::snapshot();
-    EXPECT_GT(count_kind(evs, EventKind::TileExec), 0)
-        << (dependence ? "dependence" : "barrier");
-    EXPECT_GT(count_kind(evs, EventKind::PoolAlloc), 0);
-    if (!dependence) {
-      EXPECT_GT(count_kind(evs, EventKind::GroupExec), 0);
-    } else {
-      EXPECT_GT(count_kind(evs, EventKind::GateOpen), 0);
-      EXPECT_GT(count_kind(evs, EventKind::NodeRetire), 0);
-    }
+    EXPECT_GT(count_kind(evs, EventKind::TileExec), 0) << threads;
+    EXPECT_EQ(count_kind(evs, EventKind::GroupExec),
+              static_cast<int>(ex.plan().groups.size()))
+        << threads;
+    EXPECT_GT(count_kind(evs, EventKind::PoolAlloc), 0) << threads;
     // Spans measure real durations within the session.
     for (const TraceEvent& e : evs) {
       EXPECT_GE(e.ts_ns, 0);
       EXPECT_GE(e.dur_ns, 0);
     }
   }
+  set_num_threads(threads_before);
 }
 
 TEST_F(ObsTest, PerThreadEventsAreOrdered) {
@@ -564,7 +561,7 @@ TEST_F(ObsTest, DroppedEventsFeedCounterAndReportWarning) {
   dropped.reset();
   TraceSession::start(/*events_per_thread=*/8);
   for (int i = 0; i < 20; ++i) {
-    trace_instant(EventKind::GateOpen, -1, -1, i, 0.0);
+    trace_instant(EventKind::Residual, -1, -1, i, 0.0);
   }
   TraceSession::stop();
   EXPECT_EQ(dropped.value(), 12);
@@ -586,7 +583,7 @@ TEST_F(ObsTest, DroppedEventsFeedCounterAndReportWarning) {
 // Request span context.
 // ---------------------------------------------------------------------
 
-TEST_F(ObsTest, RequestIdPropagatesThroughBothSchedules) {
+TEST_F(ObsTest, RequestIdPropagatesToEveryTeamThread) {
 #if defined(POLYMG_TRACE_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (POLYMG_TRACING=OFF)";
 #endif
@@ -595,52 +592,47 @@ TEST_F(ObsTest, RequestIdPropagatesThroughBothSchedules) {
   const std::vector<View> ext = {p.v_view(), p.f_view()};
   for (const int threads : {1, 2, 4}) {
     set_num_threads(threads);
-    for (const bool dependence : {false, true}) {
-      CompileOptions o = CompileOptions::for_variant(Variant::OptPlus, 2);
-      o.dependence_schedule = dependence;
-      Executor ex(opt::compile(solvers::build_cycle(w2d()), o));
-      ex.set_trace_request(42);
-      EXPECT_EQ(ex.trace_request(), 42);
-      TraceSession::start();
-      ex.run(ext);
-      TraceSession::stop();
-      const std::vector<TraceEvent> evs = TraceSession::snapshot();
-      // Every execution event — from every team thread — carries the
-      // ticket; that is the whole point of the executor-owned span
-      // context (a thread_local would miss the OMP team threads).
-      int exec_events = 0;
-      for (const TraceEvent& e : evs) {
-        if (e.kind != EventKind::TileExec &&
-            e.kind != EventKind::SlabExec &&
-            e.kind != EventKind::GroupExec &&
-            e.kind != EventKind::TimeTileExec) {
-          continue;
-        }
-        ++exec_events;
-        EXPECT_EQ(e.req, 42)
-            << to_string(e.kind) << " threads=" << threads
-            << (dependence ? " dependence" : " barrier");
+    Executor ex(opt::compile(solvers::build_cycle(w2d()),
+                             CompileOptions::for_variant(Variant::OptPlus, 2)));
+    ex.set_trace_request(42);
+    EXPECT_EQ(ex.trace_request(), 42);
+    TraceSession::start();
+    ex.run(ext);
+    TraceSession::stop();
+    const std::vector<TraceEvent> evs = TraceSession::snapshot();
+    // Every execution event — from every team thread — carries the
+    // ticket; that is the whole point of the executor-owned span
+    // context (a thread_local would miss the OMP team threads).
+    int exec_events = 0;
+    for (const TraceEvent& e : evs) {
+      if (e.kind != EventKind::TileExec &&
+          e.kind != EventKind::SlabExec &&
+          e.kind != EventKind::GroupExec &&
+          e.kind != EventKind::TimeTileExec) {
+        continue;
       }
-      EXPECT_GT(exec_events, 0);
-
-      // Detaching restores the -1 sentinel for subsequent runs.
-      ex.set_trace_request(-1);
-      TraceSession::start();
-      ex.run(ext);
-      TraceSession::stop();
-      for (const TraceEvent& e : TraceSession::snapshot()) {
-        EXPECT_EQ(e.req, -1);
-      }
-
-      // The Chrome export carries the ticket in args and stays valid
-      // JSON for Perfetto.
-      std::ostringstream os;
-      write_chrome_trace(os, evs, "req-test");
-      const std::string json = os.str();
-      JsonScanner scanner(json);
-      EXPECT_TRUE(scanner.valid()) << json.substr(0, 400);
-      EXPECT_NE(json.find("\"req\": 42"), std::string::npos);
+      ++exec_events;
+      EXPECT_EQ(e.req, 42) << to_string(e.kind) << " threads=" << threads;
     }
+    EXPECT_GT(exec_events, 0);
+
+    // Detaching restores the -1 sentinel for subsequent runs.
+    ex.set_trace_request(-1);
+    TraceSession::start();
+    ex.run(ext);
+    TraceSession::stop();
+    for (const TraceEvent& e : TraceSession::snapshot()) {
+      EXPECT_EQ(e.req, -1);
+    }
+
+    // The Chrome export carries the ticket in args and stays valid
+    // JSON for Perfetto.
+    std::ostringstream os;
+    write_chrome_trace(os, evs, "req-test");
+    const std::string json = os.str();
+    JsonScanner scanner(json);
+    EXPECT_TRUE(scanner.valid()) << json.substr(0, 400);
+    EXPECT_NE(json.find("\"req\": 42"), std::string::npos);
   }
   set_num_threads(threads_before);
 }

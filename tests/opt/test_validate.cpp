@@ -256,60 +256,6 @@ TEST(ValidatePlan, RejectsMalformedRegisterProgram) {
   EXPECT_FALSE(plan_issues(cp).empty());
 }
 
-TEST(ValidatePlan, AcceptsPlanTimeScheduleGraph) {
-  for (Variant v : {Variant::Opt, Variant::OptPlus, Variant::DtileOptPlus}) {
-    CompiledPipeline cp = compile_cycle(small2d(), v);
-    ASSERT_FALSE(cp.sched.empty()) << "variant " << static_cast<int>(v);
-    EXPECT_TRUE(plan_issues(cp).empty());
-  }
-}
-
-TEST(ValidatePlan, RejectsDroppedScheduleEdge) {
-  CompiledPipeline cp = compile_cycle(small2d(), Variant::OptPlus);
-  SchedGraph& sg = cp.sched;
-  // Drop the first explicit edge, keeping the CSR shape and the target's
-  // predecessor count self-consistent — only recomputation against the
-  // plan's region machinery can notice the dependence is missing.
-  std::size_t t = 0;
-  while (t + 1 < sg.succ_off.size() && sg.succ_off[t + 1] == sg.succ_off[t]) {
-    ++t;
-  }
-  ASSERT_LT(t + 1, sg.succ_off.size()) << "plan has no schedule edges";
-  const index_t target = sg.succ[static_cast<std::size_t>(sg.succ_off[t])];
-  sg.succ.erase(sg.succ.begin() + sg.succ_off[t]);
-  for (std::size_t i = t + 1; i < sg.succ_off.size(); ++i) --sg.succ_off[i];
-  --sg.pred_count[static_cast<std::size_t>(target)];
-  const auto issues = plan_issues(cp);
-  ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues.front().find("sched:"), std::string::npos)
-      << issues.front();
-  EXPECT_THROW(validate_plan(cp), Error);
-}
-
-TEST(ValidatePlan, RejectsCorruptedSchedulePredCount) {
-  CompiledPipeline cp = compile_cycle(small2d(), Variant::OptPlus);
-  ASSERT_FALSE(cp.sched.empty());
-  // A pred_count that disagrees with the edge list would deadlock (too
-  // high) or race (too low) the persistent team.
-  cp.sched.pred_count.back() += 1;
-  EXPECT_FALSE(plan_issues(cp).empty());
-}
-
-TEST(ValidatePlan, RejectsCorruptedScheduleNode) {
-  CompiledPipeline cp = compile_cycle(small2d(), Variant::OptPlus);
-  ASSERT_FALSE(cp.sched.empty());
-  // Fuse the first node's tasks into one without re-deriving the graph:
-  // the node skeleton no longer matches the plan.
-  CompiledPipeline broken_tasks = compile_cycle(small2d(), Variant::OptPlus);
-  broken_tasks.sched.nodes.front().serial =
-      !broken_tasks.sched.nodes.front().serial;
-  EXPECT_FALSE(plan_issues(broken_tasks).empty());
-
-  CompiledPipeline broken_group = compile_cycle(small2d(), Variant::OptPlus);
-  broken_group.sched.nodes.back().group = 0;
-  EXPECT_FALSE(plan_issues(broken_group).empty());
-}
-
 TEST(ValidatePlan, ErrorListsEveryIssue) {
   CompiledPipeline cp = compile_cycle(small2d(), Variant::OptPlus);
   cp.arrays[0].doubles = 1;

@@ -69,19 +69,13 @@ TEST(Executor, PoolReleaseShrinksPeakFootprint) {
   auto p = solvers::PoissonProblem::random_rhs(2, cfg.n, 8);
   const std::vector<View> ext = {p.v_view(), p.f_view()};
 
-  // Pin the barrier schedule: pool-release-at-last-use peaks are defined
-  // on in-order group execution. The dependence schedule overlaps up to
-  // two schedule nodes, which keeps up to two groups' arrays live past
-  // their barrier-schedule release point — a bounded, interleaving-
-  // dependent cost that would make this assertion nondeterministic.
-  CompileOptions no_reuse = CompileOptions::for_variant(Variant::Opt, 2);
-  no_reuse.dependence_schedule = false;
-  Executor ex_plain(opt::compile(solvers::build_cycle(cfg), no_reuse));
+  Executor ex_plain(opt::compile(solvers::build_cycle(cfg),
+                                 CompileOptions::for_variant(Variant::Opt, 2)));
   ex_plain.run(ext);
 
-  CompileOptions pooled = CompileOptions::for_variant(Variant::OptPlus, 2);
-  pooled.dependence_schedule = false;
-  Executor ex_pooled(opt::compile(solvers::build_cycle(cfg), pooled));
+  Executor ex_pooled(opt::compile(
+      solvers::build_cycle(cfg),
+      CompileOptions::for_variant(Variant::OptPlus, 2)));
   ex_pooled.run(ext);
 
   EXPECT_LT(ex_pooled.peak_array_doubles(), ex_plain.peak_array_doubles());

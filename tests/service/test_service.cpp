@@ -124,53 +124,50 @@ TEST_F(ServiceTest, ExecutorHonorsCancelToken) {
 
 // A deadline that trips mid-solve stops it with status DeadlineExceeded
 // and leaves EXACTLY the iterate of the last completed cycle in p.v —
-// bit-for-bit the same as running that many cycles undisturbed, for both
-// schedules and any thread count (the aborted cycle never reaches its
-// copy-out, and completed cycles are bit-exact by the scheduler's
-// determinism guarantee).
+// bit-for-bit the same as running that many cycles undisturbed, at any
+// thread count (the aborted cycle never reaches its copy-out, and
+// completed cycles are bit-exact by the executor's determinism
+// guarantee).
 TEST_F(ServiceTest, DeadlineStopKeepsBitExactBestIterate) {
   const CycleConfig cfg = small2d(255);
-  for (const bool dep_sched : {false, true}) {
-    for (const int threads : {1, max_threads()}) {
-      const int prev = set_num_threads(threads);
-      auto opts = opt::CompileOptions::for_variant(opt::Variant::OptPlus, 2);
-      opts.dependence_schedule = dep_sched;
+  for (const int threads : {1, max_threads()}) {
+    const int prev = set_num_threads(threads);
+    const auto opts =
+        opt::CompileOptions::for_variant(opt::Variant::OptPlus, 2);
 
-      PoissonProblem p = PoissonProblem::manufactured(2, cfg.n);
-      CancelToken tok;
-      GuardPolicy pol;
-      pol.cancel = &tok;
-      pol.max_cycles = 100000;
-      pol.stagnation_window = 100000;
-      tok.set_deadline_after_ms(25.0);
-      const SolveReport rep = solvers::guarded_solve(cfg, p, 1e-300, pol,
-                                                     opts);
-      set_num_threads(prev);
+    PoissonProblem p = PoissonProblem::manufactured(2, cfg.n);
+    CancelToken tok;
+    GuardPolicy pol;
+    pol.cancel = &tok;
+    pol.max_cycles = 100000;
+    pol.stagnation_window = 100000;
+    tok.set_deadline_after_ms(25.0);
+    const SolveReport rep = solvers::guarded_solve(cfg, p, 1e-300, pol,
+                                                   opts);
+    set_num_threads(prev);
 
-      ASSERT_EQ(rep.status, ErrorCode::DeadlineExceeded) << rep.summary();
-      EXPECT_TRUE(rep.deadline_hit);
-      ASSERT_FALSE(rep.attempts.empty());
-      EXPECT_EQ(rep.attempts.back().kind, RungKind::DeadlineStop);
-      EXPECT_TRUE(std::isfinite(
-          solvers::residual_norm(p.v_view(), p.f_view(), p.n, p.h)));
+    ASSERT_EQ(rep.status, ErrorCode::DeadlineExceeded) << rep.summary();
+    EXPECT_TRUE(rep.deadline_hit);
+    ASSERT_FALSE(rep.attempts.empty());
+    EXPECT_EQ(rep.attempts.back().kind, RungKind::DeadlineStop);
+    EXPECT_TRUE(std::isfinite(
+        solvers::residual_norm(p.v_view(), p.f_view(), p.n, p.h)));
 
-      // Reference: the same plan run for exactly the completed cycle
-      // count, no deadline anywhere near it.
-      PoissonProblem ref = PoissonProblem::manufactured(2, cfg.n);
-      runtime::Executor ex(opt::compile(solvers::build_cycle(cfg), opts));
-      const std::vector<grid::View> ext = {ref.v_view(), ref.f_view()};
-      for (int c = 0; c < rep.total_cycles; ++c) {
-        ex.run(ext);
-        grid::copy_region(ref.v_view(), ex.output_view(0), ref.domain());
-      }
-      ASSERT_EQ(p.v.size(), ref.v.size());
-      EXPECT_EQ(std::memcmp(p.v.data(), ref.v.data(),
-                            p.v.size() * sizeof(double)),
-                0)
-          << "best-effort iterate diverged from the " << rep.total_cycles
-          << "-cycle reference (dep_sched=" << dep_sched
-          << ", threads=" << threads << ")";
+    // Reference: the same plan run for exactly the completed cycle
+    // count, no deadline anywhere near it.
+    PoissonProblem ref = PoissonProblem::manufactured(2, cfg.n);
+    runtime::Executor ex(opt::compile(solvers::build_cycle(cfg), opts));
+    const std::vector<grid::View> ext = {ref.v_view(), ref.f_view()};
+    for (int c = 0; c < rep.total_cycles; ++c) {
+      ex.run(ext);
+      grid::copy_region(ref.v_view(), ex.output_view(0), ref.domain());
     }
+    ASSERT_EQ(p.v.size(), ref.v.size());
+    EXPECT_EQ(std::memcmp(p.v.data(), ref.v.data(),
+                          p.v.size() * sizeof(double)),
+              0)
+        << "best-effort iterate diverged from the " << rep.total_cycles
+        << "-cycle reference (threads=" << threads << ")";
   }
 }
 
