@@ -1,7 +1,7 @@
 // Chaos sweep driver (DESIGN.md §15): every fault::FaultInjector site
 // armed against a LIVE watchdog-enabled SolveService, crossed with the
-// secondary axes {jit on/off, precision double/mixed, cold/warm injection
-// timing}. For each run the liveness
+// secondary axes {jit on/off, cold/warm injection timing}. For each run
+// the liveness
 // invariants are checked — every request terminates with an honest
 // terminal status, the service answers a clean probe after the fault is
 // disarmed, and shutdown leaks zero workers — and the per-site outcome
@@ -40,7 +40,6 @@ using solvers::PoissonProblem;
 
 struct Axes {
   bool jit_on = false;
-  bool mixed = false;
   bool cold = false;  ///< arm before the first request (vs after warm-up)
 };
 
@@ -75,8 +74,6 @@ SolveRequest make_req(const Axes& a, const std::string& tenant) {
   req.cfg = small2d();
   req.opts = opt::CompileOptions::for_variant(opt::Variant::OptPlus, 2);
   req.opts.jit = a.jit_on ? opt::JitMode::On : opt::JitMode::Off;
-  req.opts.precision.mode =
-      a.mixed ? opt::Precision::Mixed : opt::Precision::Double;
   const PoissonProblem p = PoissonProblem::manufactured(2, req.cfg.n);
   req.rhs = p.f.clone();
   req.rel_tol = 1e-8;
@@ -172,11 +169,7 @@ int main(int argc, char** argv) {
   std::vector<Axes> combos;
   if (full) {
     for (int j = 0; j < 2; ++j) {
-      for (int p = 0; p < 2; ++p) {
-        for (int t = 0; t < 2; ++t) {
-          combos.push_back(Axes{j == 1, p == 1, t == 1});
-        }
-      }
+      for (int t = 0; t < 2; ++t) combos.push_back(Axes{j == 1, t == 1});
     }
   }
 
@@ -189,8 +182,7 @@ int main(int argc, char** argv) {
     for (const std::string& site : sites) {
       const std::vector<Axes> picks =
           full ? combos
-               : std::vector<Axes>{Axes{(ix & 1) != 0, (ix & 2) != 0,
-                                        (ix & 4) != 0}};
+               : std::vector<Axes>{Axes{(ix & 1) != 0, (ix & 2) != 0}};
       ++ix;
       for (const Axes& a : picks) {
         const RunOutcome out = run_site(site, a, burst);
@@ -198,10 +190,10 @@ int main(int argc, char** argv) {
         leaked_workers += out.leaked_workers;
         unanswered += out.answered_after ? 0 : 1;
         std::printf(
-            "%-20s jit=%-3s prec=%-6s timing=%-4s fired=%ld "
+            "%-20s jit=%-3s timing=%-4s fired=%ld "
             "terminated=%d/%d answered=%s leaked=%d stalls=%llu lost=%llu\n",
-            site.c_str(), a.jit_on ? "on" : "off",
-            a.mixed ? "mixed" : "double", a.cold ? "cold" : "warm", out.fired, out.terminated, out.requests,
+            site.c_str(), a.jit_on ? "on" : "off", a.cold ? "cold" : "warm",
+            out.fired, out.terminated, out.requests,
             out.answered_after ? "yes" : "NO", out.leaked_workers,
             static_cast<unsigned long long>(out.stalls_detected),
             static_cast<unsigned long long>(out.workers_lost));
@@ -238,14 +230,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const RunOutcome& r = runs[i];
       std::fprintf(f,
-                   "    {\"site\": \"%s\", \"jit\": %s, \"mixed\": %s, "
+                   "    {\"site\": \"%s\", \"jit\": %s, "
                    "\"cold\": %s, \"fired\": %ld, "
                    "\"requests\": %d, \"terminated\": %d, "
                    "\"answered_after\": %s, \"leaked_workers\": %d, "
                    "\"stalls_detected\": %llu, \"workers_lost\": %llu, "
                    "\"outcomes\": {",
-                   r.site.c_str(), b2s(r.axes.jit_on), b2s(r.axes.mixed),
-                   b2s(r.axes.cold), r.fired,
+                   r.site.c_str(), b2s(r.axes.jit_on), b2s(r.axes.cold),
+                   r.fired,
                    r.requests, r.terminated, b2s(r.answered_after),
                    r.leaked_workers,
                    static_cast<unsigned long long>(r.stalls_detected),

@@ -1,9 +1,7 @@
 // Figure 10(a-d) — 3-d benchmarks: the same series as Fig. 9 on
 // {V, W} × {4-4-4, 10-0-0} 3-d Poisson problems.
 //
-// Flags: --paper, --reps N, --class B|C,
-//        --precision double|mixed|float (polymg DSL series; the
-//        polymg-mixed row is mixed regardless).
+// Flags: --paper, --reps N, --class B|C.
 #include "gbench.hpp"
 
 namespace polymg::bench {
@@ -13,7 +11,6 @@ void register_all(const Options& opts) {
   const bool paper = paper_sizes_requested(opts);
   const int reps = static_cast<int>(opts.get_int("reps", 2));
   const std::string only_class = opts.get("class", "");
-  const opt::PrecisionPolicy prec = precision_from_options(opts);
 
   for (const SizeClass& sc : size_classes(paper)) {
     if (!only_class.empty() && sc.name != only_class) continue;
@@ -33,7 +30,7 @@ void register_all(const Options& opts) {
             std::to_string(n3) + "/" + sc.name;
         for (Series s : all_series()) {
           register_point(row, to_string(s),
-                         make_runner(s, cfg, sc.iters3d, 42, prec), reps);
+                         make_runner(s, cfg, sc.iters3d, 42), reps);
         }
       }
     }
@@ -63,8 +60,5 @@ int main(int argc, char** argv) {
       "  polymg-dtile-opt+ over polymg-opt+ : %.2fx (paper: dtile wins only "
       "3D-W-10-0-0)\n",
       table.geomean_speedup("polymg-dtile-opt+", "polymg-opt+"));
-  std::printf("  polymg-mixed over polymg-opt+ : %.2fx (float fine grids, "
-              "defect correction)\n",
-              table.geomean_speedup("polymg-mixed", "polymg-opt+"));
   return 0;
 }

@@ -5,9 +5,7 @@
 //
 // Flags: --paper (Table 2 sizes), --reps N (default 2; paper uses 5),
 //        --class B|C (restrict to one class), --json <path> (machine-
-//        readable records next to the printed tables),
-//        --precision double|mixed|float (polymg DSL series; the
-//        polymg-mixed row is mixed regardless).
+//        readable records next to the printed tables).
 #include "gbench.hpp"
 
 namespace polymg::bench {
@@ -17,7 +15,6 @@ void register_all(const Options& opts) {
   const bool paper = paper_sizes_requested(opts);
   const int reps = static_cast<int>(opts.get_int("reps", 2));
   const std::string only_class = opts.get("class", "");
-  const opt::PrecisionPolicy prec = precision_from_options(opts);
 
   for (const SizeClass& sc : size_classes(paper)) {
     if (!only_class.empty() && sc.name != only_class) continue;
@@ -37,7 +34,7 @@ void register_all(const Options& opts) {
             std::to_string(n3) + "/" + sc.name;
         for (Series s : all_series()) {
           register_point(row, to_string(s),
-                         make_runner(s, cfg, sc.iters2d, 42, prec), reps);
+                         make_runner(s, cfg, sc.iters2d, 42), reps);
         }
       }
     }
@@ -65,9 +62,6 @@ int main(int argc, char** argv) {
               table.geomean_speedup("polymg-opt+", "polymg-opt"));
   std::printf("  polymg-opt+  over handopt+pluto: %.2fx (paper 2-d: 1.67x)\n",
               table.geomean_speedup("polymg-opt+", "handopt+pluto"));
-  std::printf("  polymg-mixed over polymg-opt+  : %.2fx (float fine grids, "
-              "defect correction)\n",
-              table.geomean_speedup("polymg-mixed", "polymg-opt+"));
   if (const std::string json = opts.get("json", ""); !json.empty()) {
     table.write_json(json, "fig9-2d", "polymg-naive");
     std::printf("wrote %s\n", json.c_str());

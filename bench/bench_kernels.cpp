@@ -7,12 +7,7 @@
 //
 // Flags: --reps N (default 5), --n2d E (2-d edge, default 1023),
 //        --n3d E (3-d edge, default 127), --json <path>,
-//        --jit on|off|auto (default auto),
-//        --precision double|mixed|float (default double; non-default
-//        adds jit-f32 rows — the dtype-specialized kernels on float
-//        storage — each checked point-for-point against the double
-//        register engine, mismatches reported as oracle violations).
-#include <algorithm>
+//        --jit on|off|auto (default auto).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -64,15 +59,6 @@ struct Case {
   int nsrcs;
 };
 
-/// One jit-f32 row's outcome: its speedup over the double jit kernel
-/// and how many points disagreed with the double oracle beyond the
-/// storage-rounding bound.
-struct MixedOutcome {
-  std::string row;
-  double speedup = 0.0;
-  long long violations = 0;
-};
-
 /// Hand-written fused kernel for the varcoef-2d stencil. try_linearize
 /// rejects the load·load product, so this is the tap-loop-class baseline
 /// the DSL cannot derive — the number a hand-tuned specialized kernel
@@ -98,8 +84,7 @@ void varcoef2d_hand(View out, const View& u, const View& c,
   }
 }
 
-void run_case(ResultTable& table, const Case& c, index_t edge, int reps,
-              bool mixed, std::vector<MixedOutcome>& mixed_out) {
+void run_case(ResultTable& table, const Case& c, index_t edge, int reps) {
   const Box dom = Box::cube(c.ndim, 0, edge + 1);
   const Box region = Box::cube(c.ndim, 1, edge);
 
@@ -190,48 +175,6 @@ void run_case(ResultTable& table, const Case& c, index_t edge, int reps,
                 c.name << " jit kernel is not bit-exact vs the register "
                           "engine");
       table.record(row, "jit", min_time_of(run_jit, reps));
-
-      if (mixed) {
-        // Same stencil, float storage end to end: sources rounded once
-        // into f32, the dtype-specialized kernel (loads promote to
-        // double, one rounding on store — the plan-level contract), and
-        // a point-for-point oracle against the double reference. Any
-        // deviation beyond the storage-rounding bound is a violation.
-        const codegen::JitKernel jk32 = codegen::jit_kernel_for_def(
-            c.ndim, bc, grid::DType::F32, grid::DType::F32);
-        if (jk32) {
-          std::vector<grid::BufferF32> src32;
-          ir::JitSrcView js32[ir::kJitMaxSrcSlots] = {};
-          for (std::size_t s = 0; s < srcs.size(); ++s) {
-            src32.push_back(grid::make_grid_f32(dom));
-            View sv = View::over(src32.back().data(), dom);
-            grid::copy_region(sv, srcs[s], dom);
-            js32[s].ptr = src32.back().data();
-            for (int d = 0; d < 3; ++d) {
-              js32[s].origin[d] = sv.origin[d];
-              js32[s].stride[d] = sv.stride[d];
-            }
-          }
-          grid::BufferF32 out32 = grid::make_grid_f32(region);
-          View ov32 = View::over(out32.data(), region);
-          const auto run_jit32 = [&] {
-            jk32.fn(out32.data(), ov32.origin.data(), ov32.stride.data(),
-                    js32, lo, hi);
-          };
-          run_jit32();
-          MixedOutcome mo;
-          mo.row = row;
-          for (std::size_t i = 0; i < ref.size(); ++i) {
-            const double d = static_cast<double>(out32[i]) - ref[i];
-            if (std::fabs(d) > 1e-6 * (1.0 + std::fabs(ref[i]))) {
-              ++mo.violations;
-            }
-          }
-          table.record(row, "jit-f32", min_time_of(run_jit32, reps));
-          mo.speedup = table.get(row, "jit") / table.get(row, "jit-f32");
-          mixed_out.push_back(mo);
-        }
-      }
     }
   }
 }
@@ -240,9 +183,6 @@ int main_impl(int argc, char** argv) {
   const Options opts = Options::parse(argc, argv);
   arm_faults_from_options(opts);  // validate --fault here, not mid-run
   apply_jit_from_options(opts);   // same deal for --jit
-  const opt::PrecisionPolicy prec = precision_from_options(opts);  // and --precision
-  const bool mixed =
-      prec.mixed() && codegen::jit_mode() != opt::JitMode::Off;
   TraceFromOptions trace(opts);
   MetricsFromOptions metrics(opts);
   const int reps = static_cast<int>(opts.get_int("reps", 5));
@@ -286,9 +226,8 @@ int main_impl(int argc, char** argv) {
   }
 
   ResultTable table;
-  std::vector<MixedOutcome> mixed_rows;
   for (const Case& c : cases) {
-    run_case(table, c, c.ndim == 2 ? n2d : n3d, reps, mixed, mixed_rows);
+    run_case(table, c, c.ndim == 2 ? n2d : n3d, reps);
   }
   table.print("Kernel engines: stack interpreter vs register row engine",
               "stack-interp");
@@ -300,21 +239,6 @@ int main_impl(int argc, char** argv) {
     // The ISSUE bar: jit within 2x of tap-loop, i.e. this ratio >= 0.5.
     std::printf("jit vs tap-loop (geomean, >=0.50 is within 2x): %.2fx\n",
                 table.geomean_speedup("jit", "tap-loop"));
-  }
-  if (mixed) {
-    // CI parses these lines: the bar is >= 1.3x on at least one
-    // memory-bound stencil with zero oracle violations.
-    std::printf("\nmixed-precision jit (f32 storage) vs double jit:\n");
-    double best = 0.0;
-    long long violations = 0;
-    for (const MixedOutcome& mo : mixed_rows) {
-      std::printf("  %-16s %.2fx  (%lld violation(s))\n", mo.row.c_str(),
-                  mo.speedup, mo.violations);
-      best = std::max(best, mo.speedup);
-      violations += mo.violations;
-    }
-    std::printf("mixed best speedup over double jit: %.2fx\n", best);
-    std::printf("precision oracle violations: %lld\n", violations);
   }
   // Warm-cache proof hook: CI runs the bench twice against one cache dir
   // and greps "jit compiles: 0" on the second run.

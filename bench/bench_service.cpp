@@ -23,7 +23,8 @@
 // (ephemeral loopback port) and writes the payload next to the JSON.
 //
 // Emits BENCH_service.json (a single object; the panels are derived
-// service metrics, not per-series timings).
+// service metrics, not per-series timings). Every printed bar is
+// enforced: the binary exits nonzero and names each missed bar on stderr.
 //
 // Flags: --workers N, --requests R, --deadline-ms D, --json FILE,
 //        --prom FILE (Prometheus self-scrape payload),
@@ -33,6 +34,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gbench.hpp"
@@ -329,5 +331,26 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("wrote %s\n", json.c_str());
   }
-  return 0;
+
+  std::vector<std::string> missed;
+  const auto bar = [&](bool ok, const std::string& what) {
+    if (!ok) missed.push_back(what);
+  };
+  bar(recompiles == 0, "zero recompiles after warm-up");
+  bar(tput_ratio >= 0.90, "faulty/clean throughput >= 0.90");
+  for (const auto& [name, st] :
+       {std::pair<std::string, const PhaseStats*>{"steady", &steady},
+        {"overload/clean", &over_clean},
+        {"overload/fault", &over_fault}}) {
+    bar(st->max_overshoot_ms <= overshoot_bound_ms,
+        name + " max overshoot <= overshoot bound");
+    bar(st->retry_after_ok, name + " retry-after hints all positive");
+    bar(st->hist_vs_sort_p99_ok(),
+        name + " histogram p99 within one bucket of sorted p99");
+  }
+  bar(scrape_ok, "self-scrape carries the service_e2e_ns histogram");
+  for (const std::string& m : missed) {
+    std::fprintf(stderr, "bench_service: bar missed: %s\n", m.c_str());
+  }
+  return missed.empty() ? 0 : 1;
 }

@@ -45,10 +45,10 @@ if [[ ! -x "$build/bench/bench_kernels" ]]; then
   exit 1
 fi
 
-echo "== bench_kernels (reps=$reps, mixed rows at a DRAM-bound 2-d edge) =="
-# --n2d 4095 (134 MB of doubles) keeps the 2-d stencils memory-bound so
-# the jit-f32 rows measure the bandwidth halving, not cache noise.
-"$build/bench/bench_kernels" --reps "$reps" --precision=mixed --n2d 4095 \
+echo "== bench_kernels (reps=$reps, DRAM-bound 2-d edge) =="
+# --n2d 4095 (134 MB of doubles) keeps the 2-d stencils memory-bound, the
+# regime of the solve-2d-large benchmark workload.
+"$build/bench/bench_kernels" --reps "$reps" --n2d 4095 \
   --json "$repo_root/BENCH_kernels.json" $(trace_arg kernels) \
   $(metrics_arg kernels)
 

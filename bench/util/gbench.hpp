@@ -57,15 +57,13 @@ inline void register_point(const std::string& row, const std::string& series,
 }
 
 /// Standard main body: parse our options first, then benchmark's.
-/// Fault-spec, --jit and --precision validation live in the harness
-/// (arm_faults_from_options / apply_jit_from_options /
-/// precision_from_options) so non-gbench drivers get the same loud
-/// startup rejection of unknown values.
+/// Fault-spec and --jit validation live in the harness
+/// (arm_faults_from_options / apply_jit_from_options) so non-gbench
+/// drivers get the same loud startup rejection of unknown values.
 inline Options parse_bench_options(int& argc, char** argv) {
   Options opts = Options::parse(argc, argv);
   arm_faults_from_options(opts);
   apply_jit_from_options(opts);
-  precision_from_options(opts);  // every driver rejects bad values here
   return opts;
 }
 

@@ -44,10 +44,7 @@ std::vector<SizeClass> size_classes(bool paper);
 
 bool paper_sizes_requested(const Options& opts);
 
-/// All comparison series of Figs. 9/10. Mixed is OptPlus recompiled
-/// under the mixed storage-precision policy (fine grids float) and run
-/// through the defect-correction protocol: the iterate and the residual
-/// norms stay double, only the cycle's interior traffic narrows.
+/// All comparison series of Figs. 9/10.
 enum class Series {
   HandOpt,
   HandOptPluto,
@@ -55,7 +52,6 @@ enum class Series {
   Opt,
   OptPlus,
   DtileOptPlus,
-  Mixed,
 };
 std::string to_string(Series s);
 const std::vector<Series>& all_series();
@@ -66,12 +62,8 @@ struct SolveRunner {
   std::function<void()> run;
   std::string label;
 };
-/// `precision` applies to the polymg DSL series (the hand-written
-/// reference solvers are double-only); Series::Mixed upgrades a Double
-/// policy to Mixed so its row is mixed even without --precision.
 SolveRunner make_runner(Series s, const CycleConfig& cfg, int cycles,
-                        std::uint64_t seed = 42,
-                        opt::PrecisionPolicy precision = {});
+                        std::uint64_t seed = 42);
 
 /// NAS-MG runner: Series::HandOpt maps to the hand-written NPB-style
 /// reference; the polymg series run the DSL pipeline. HandOptPluto and
@@ -102,14 +94,6 @@ void apply_jit_from_options(const Options& opts);
 /// The `--deadline-ms` per-request budget (0 disables deadlines).
 /// Negative or unparsable values are a startup error.
 double deadline_ms_from_options(const Options& opts);
-
-/// Parse `--precision=double|mixed|float` (the POLYMG_PRECISION
-/// environment variable is the usual Options fallback; default double)
-/// into the storage-precision policy the driver hands to make_runner /
-/// its CompileOptions. Like --jit, an unrecognized value terminates the
-/// binary HERE, at startup — not as a silently-double run labelled
-/// "mixed". A non-default mode is announced once on stdout.
-opt::PrecisionPolicy precision_from_options(const Options& opts);
 
 /// RAII trace toggle for the bench drivers: when `--trace <path>` is
 /// passed (or the POLYMG_TRACE environment variable names a path — the

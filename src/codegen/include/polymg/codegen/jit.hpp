@@ -91,13 +91,8 @@ struct JitKernel {
 
 /// Compile (or fetch from cache) a native kernel for one definition
 /// expressed as stack bytecode. Returns a null kernel on any fallback
-/// rung — callers keep their interpreted path. `out_dt`/`src_dt` select
-/// the storage dtypes baked into the emitted code (all sources share
-/// one dtype, mirroring the plan-level uniformity invariant); they are
-/// part of the cache key.
-JitKernel jit_kernel_for_def(int ndim, const ir::Bytecode& bc,
-                             grid::DType out_dt = grid::DType::F64,
-                             grid::DType src_dt = grid::DType::F64);
+/// rung — callers keep their interpreted path.
+JitKernel jit_kernel_for_def(int ndim, const ir::Bytecode& bc);
 
 /// Probe the system compiler (one tiny compile into the cache dir).
 /// Not memoized: honours POLYMG_JIT_CC changing under a running test.

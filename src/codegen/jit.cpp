@@ -362,23 +362,14 @@ std::string format_key(const char* tag, std::uint64_t content_hash) {
 // ---------------------------------------------------------------------
 
 /// One kernel to emit: a register program specialized to (ndim, step,
-/// phase) and to the storage dtypes of its output and source slots.
-/// `name` is the exported C symbol.
+/// phase). `name` is the exported C symbol.
 struct KernelSpec {
   std::string name;
   int ndim = 2;
   ir::RegProgram rp;
   std::array<index_t, 3> step{1, 1, 1};
   std::array<index_t, 3> phase{0, 0, 0};
-  grid::DType out_dt = grid::DType::F64;
-  std::array<grid::DType, ir::kJitMaxSrcSlots> src_dt{};  // F64-filled
 };
-
-/// C element-type name of a storage dtype. Loads promote to double and
-/// stores round from double, so only the pointer types vary.
-const char* ctype(grid::DType dt) {
-  return dt == grid::DType::F32 ? "float" : "double";
-}
 
 bool emittable(const ir::RegProgram& rp, int ndim) {
   if (rp.empty() || rp.result < 0) return false;
@@ -456,11 +447,9 @@ void emit_kernel(std::ostream& os, const KernelSpec& ks) {
   const index_t si = ks.step[in];
 
   os << "void " << ks.name
-     << "(void* restrict vout, const pmg_i64* restrict oorg,\n"
+     << "(double* restrict out, const pmg_i64* restrict oorg,\n"
      << "    const pmg_i64* restrict ostr, const pmg_src* restrict src,\n"
-     << "    const pmg_i64* restrict lo, const pmg_i64* restrict hi) {\n"
-     << "  " << ctype(ks.out_dt) << "* restrict out = (" << ctype(ks.out_dt)
-     << "*)vout;\n";
+     << "    const pmg_i64* restrict lo, const pmg_i64* restrict hi) {\n";
 
   // Lattice-restricted bounds; (step, phase) are baked per parity case.
   for (int d = 0; d < nd; ++d) {
@@ -503,9 +492,8 @@ void emit_kernel(std::ostream& os, const KernelSpec& ks) {
     const bool aff = (static_cast<index_t>(li.num) * si) % li.den == 0;
     affine.push_back(aff);
     advance.push_back(aff ? (static_cast<index_t>(li.num) * si / li.den) : 0);
-    const char* sty = ctype(ks.src_dt[static_cast<std::size_t>(instr.slot)]);
-    os << ind << "const " << sty << "* restrict p" << k << " = (const "
-       << sty << "*)src[" << instr.slot << "].ptr";
+    os << ind << "const double* restrict p" << k << " = src[" << instr.slot
+       << "].ptr";
     for (int d = 0; d < in; ++d) {
       os << "\n" << ind << "    + ((" << sampled("x" + std::to_string(d),
                                                  instr.idx[d].num,
@@ -522,7 +510,7 @@ void emit_kernel(std::ostream& os, const KernelSpec& ks) {
     os << ";\n";
   }
 
-  os << ind << ctype(ks.out_dt) << "* restrict po = out";
+  os << ind << "double* restrict po = out";
   for (int d = 0; d < in; ++d) {
     os << " + (x" << d << " - oorg[" << d << "]) * ostr[" << d << "]";
   }
@@ -563,11 +551,7 @@ void emit_kernel(std::ostream& os, const KernelSpec& ks) {
   } else {
     os << "u * " << si;
   }
-  // One rounding per stored point on a float output, exactly like the
-  // register row engine's store.
-  os << "] = ";
-  if (ks.out_dt == grid::DType::F32) os << "(float)";
-  os << "r" << ks.rp.result << ";\n";
+  os << "] = r" << ks.rp.result << ";\n";
   os << ind << "}\n";
 
   for (int d = in - 1; d >= 0; --d) {
@@ -586,7 +570,7 @@ std::string render_module(const std::string& key,
      << " */\n"
      << "typedef long long pmg_i64;\n"
      << "typedef struct {\n"
-     << "  const void* ptr;\n"
+     << "  const double* ptr;\n"
      << "  pmg_i64 origin[3];\n"
      << "  pmg_i64 stride[3];\n"
      << "} pmg_src;\n"
@@ -742,18 +726,6 @@ std::vector<KernelSpec> collect_kernels(const opt::CompiledPipeline& plan) {
       KernelSpec ks;
       ks.name = "pmg_k" + std::to_string(f) + "_" + std::to_string(c);
       ks.ndim = fn.ndim;
-      // Bake the plan's storage dtypes: the executor binds views of
-      // exactly these dtypes, and the key (kernel_fingerprint) hashes
-      // them, so a double and a mixed plan never share a module.
-      ks.out_dt = plan.dtype_of_func(static_cast<int>(f));
-      for (std::size_t s = 0;
-           s < fn.sources.size() &&
-           s < static_cast<std::size_t>(ir::kJitMaxSrcSlots);
-           ++s) {
-        const ir::SourceSlot& slot = fn.sources[s];
-        ks.src_dt[s] = slot.external ? plan.dtype_of_external(slot.index)
-                                     : plan.dtype_of_func(slot.index);
-      }
       if (fn.parity_piecewise) {
         ks.step = {2, 2, 2};
         for (int d = 0; d < fn.ndim; ++d) {
@@ -861,21 +833,14 @@ int jit_bound_kernels(const opt::CompiledPipeline& plan) {
   return n;
 }
 
-JitKernel jit_kernel_for_def(int ndim, const ir::Bytecode& bc,
-                             grid::DType out_dt, grid::DType src_dt) {
+JitKernel jit_kernel_for_def(int ndim, const ir::Bytecode& bc) {
   if (jit_mode() == opt::JitMode::Off) return {};
   KernelSpec ks;
   ks.name = "pmg_k0_0";
   ks.ndim = ndim;
   ks.rp = ir::compile_regprog(bc);
-  ks.out_dt = out_dt;
-  ks.src_dt.fill(src_dt);
   if (!emittable(ks.rp, ndim)) return {};
-  Fnv1a dt;
-  dt.u64(hash_bytecode(ndim, bc));
-  dt.byte(static_cast<std::uint8_t>(out_dt));
-  dt.byte(static_cast<std::uint8_t>(src_dt));
-  const std::string key = format_key("pmgdef", dt.h);
+  const std::string key = format_key("pmgdef", hash_bytecode(ndim, bc));
   std::vector<KernelSpec> specs;
   specs.push_back(std::move(ks));
   auto mod = acquire_module(key, 1,

@@ -47,11 +47,6 @@ inline constexpr const char* kServiceSlow = "service.slow";
 /// missing toolchain); specialization must fall back to the register
 /// engine / interpreter with a correct result.
 inline constexpr const char* kJitCompile = "jit.compile";
-/// The float path of a mixed-precision solve is corrupted (a residual
-/// value scaled far out of range before the float cycle consumes it);
-/// the precision oracle must detect the drift and degrade the solve to
-/// full double.
-inline constexpr const char* kPrecisionCorrupt = "precision.corrupt";
 /// The JIT's compiler child hangs instead of exiting (models a wedged
 /// toolchain); the sandbox's waitpid timeout must kill it and fall back
 /// to the register engine within the compile budget.

@@ -2,22 +2,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include "polymg/common/parallel.hpp"
 
 namespace polymg::grid {
 
-template <typename T>
-void TBuffer<T>::fill(T v) {
-  std::fill_n(data_.get(), count_, v);
-}
+void Buffer::fill(double v) { std::fill_n(data_.get(), count_, v); }
 
-template <typename T>
-TBuffer<T> TBuffer<T>::clone() const {
-  TBuffer<T> b(count_);
+Buffer Buffer::clone() const {
+  Buffer b(count_);
   const auto n = static_cast<std::int64_t>(count_);
   if (n < kForkGrain || in_parallel()) {
-    if (n > 0) std::memcpy(b.data(), data_.get(), count_ * sizeof(T));
+    if (n > 0) std::memcpy(b.data(), data_.get(), count_ * sizeof(double));
     return b;
   }
   // Parallel first touch: each thread copies (and so page-faults in) a
@@ -33,15 +30,12 @@ TBuffer<T> TBuffer<T>::clone() const {
       const std::int64_t lo = c * kForkGrain;
       const std::int64_t len = std::min(kForkGrain, n - lo);
       std::memcpy(b.data() + lo, data_.get() + lo,
-                  static_cast<std::size_t>(len) * sizeof(T));
+                  static_cast<std::size_t>(len) * sizeof(double));
     }
     tsan_join_release();
   }
   tsan_join_acquire();
   return b;
 }
-
-template class TBuffer<double>;
-template class TBuffer<float>;
 
 }  // namespace polymg::grid

@@ -8,8 +8,6 @@
 
 #include <array>
 
-#include "polymg/common/error.hpp"
-#include "polymg/grid/dtype.hpp"
 #include "polymg/poly/box.hpp"
 
 namespace polymg::grid {
@@ -22,19 +20,9 @@ using poly::kMaxDims;
 ///   ptr[(i0 - origin0)*stride0 + (i1 - origin1)*stride1 + ...].
 /// The last dimension is contiguous (stride == 1) in all views PolyMG
 /// creates; kernels rely on that for their inner loops.
-///
-/// Views carry a storage dtype tag. F64 views (the default) behave
-/// exactly as before — `ptr` addresses doubles and every historical
-/// accessor applies. F32 views reuse the same struct: `ptr` is a
-/// reinterpreted pointer into float storage (strides and origins stay
-/// in *elements*), `f32()` recovers the typed pointer, and the
-/// dtype-aware load/store accessors below convert to/from double at
-/// the access. The double-typed accessors (at/at2/at3) are only valid
-/// on F64 views.
 struct View {
   double* ptr = nullptr;
   int ndim = 0;
-  DType dtype = DType::F64;
   std::array<index_t, kMaxDims> origin{};
   std::array<index_t, kMaxDims> stride{};
 
@@ -51,39 +39,6 @@ struct View {
       s *= box.dim(d).size();
     }
     return v;
-  }
-
-  /// F32 view covering `box` at the start of `data`. `data` must hold
-  /// at least box.count() floats.
-  static View over(float* data, const Box& box) {
-    View v = over(reinterpret_cast<double*>(data), box);
-    v.dtype = DType::F32;
-    return v;
-  }
-
-  /// Typed pointer of an F32 view (the storage `ptr` reinterprets).
-  float* f32() const {
-    PMG_DCHECK(dtype == DType::F32, "f32() on a non-F32 view");
-    return reinterpret_cast<float*>(ptr);
-  }
-
-  /// Bytes per element of this view's storage dtype.
-  std::size_t elem_size() const { return dtype_size(dtype); }
-
-  /// Dtype-aware element access at a flat offset (in elements): loads
-  /// promote to double, stores round once from double. On F64 views
-  /// these compile to the plain array access.
-  double load(index_t off) const {
-    return dtype == DType::F32 ? static_cast<double>(
-                                     reinterpret_cast<const float*>(ptr)[off])
-                               : ptr[off];
-  }
-  void store(index_t off, double v) {
-    if (dtype == DType::F32) {
-      reinterpret_cast<float*>(ptr)[off] = static_cast<float>(v);
-    } else {
-      ptr[off] = v;
-    }
   }
 
   index_t offset2(index_t i, index_t j) const {
@@ -125,8 +80,8 @@ struct View {
     return true;
   }
 
-  /// Generic accessor for dimension-agnostic code paths (tests, the
-  /// bytecode evaluator).
+  /// Generic accessor for dimension-agnostic code paths (the stack
+  /// bytecode interpreter, health scans, fault injection, tests).
   double& at(const std::array<index_t, kMaxDims>& p) {
     index_t off = 0;
     for (int d = 0; d < ndim; ++d) off += (p[d] - origin[d]) * stride[d];
@@ -136,20 +91,6 @@ struct View {
     index_t off = 0;
     for (int d = 0; d < ndim; ++d) off += (p[d] - origin[d]) * stride[d];
     return ptr[off];
-  }
-
-  /// Dtype-aware point access for dimension-agnostic paths (the stack
-  /// bytecode interpreter, health scans, fault injection): loads
-  /// promote to double, stores round once from double.
-  double load_at(const std::array<index_t, kMaxDims>& p) const {
-    index_t off = 0;
-    for (int d = 0; d < ndim; ++d) off += (p[d] - origin[d]) * stride[d];
-    return load(off);
-  }
-  void store_at(const std::array<index_t, kMaxDims>& p, double v) {
-    index_t off = 0;
-    for (int d = 0; d < ndim; ++d) off += (p[d] - origin[d]) * stride[d];
-    store(off, v);
   }
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 
 #include "polymg/common/parallel.hpp"
 
@@ -76,24 +75,6 @@ double walk_rows(const Box& region, const View& a, const View& b, bool fork,
   return m;
 }
 
-/// fn(p) with the view's storage pointer typed by its dtype (double* or
-/// float*): the dtype is dispatched once per region, not per point.
-template <typename Fn>
-auto with_typed(const View& v, Fn&& fn) {
-  if (v.dtype == DType::F32) return fn(v.f32());
-  return fn(v.ptr);
-}
-
-template <typename Fn>
-auto with_typed(const View& a, const View& b, Fn&& fn) {
-  return with_typed(a, [&](auto* pa) {
-    return with_typed(b, [&](auto* pb) { return fn(pa, pb); });
-  });
-}
-
-template <typename P>
-using elem_t = std::remove_pointer_t<P>;
-
 }  // namespace
 
 Buffer make_grid(const Box& domain) {
@@ -102,104 +83,63 @@ Buffer make_grid(const Box& domain) {
   return b;
 }
 
-BufferF32 make_grid_f32(const Box& domain) {
-  BufferF32 b(static_cast<std::size_t>(domain.count()));
-  b.fill(0.0f);
-  return b;
-}
-
 void fill_region(View v, const Box& region,
                  const std::function<double(index_t, index_t, index_t)>& f) {
-  with_typed(v, [&](auto* base) {
-    walk_rows(region, v, v, false, [&](const Row& r) {
-      std::array<index_t, 3> p = r.p;
-      index_t& k = p[region.ndim() - 1];
-      using T = elem_t<decltype(base)>;
-      for (index_t l = 0; l < r.len; ++l, ++k) {
-        base[r.a + l] = static_cast<T>(f(p[0], p[1], p[2]));
-      }
-      return 0.0;
-    });
+  walk_rows(region, v, v, false, [&](const Row& r) {
+    std::array<index_t, 3> p = r.p;
+    index_t& k = p[region.ndim() - 1];
+    for (index_t l = 0; l < r.len; ++l, ++k) {
+      v.ptr[r.a + l] = f(p[0], p[1], p[2]);
+    }
+    return 0.0;
   });
 }
 
 void fill_region(View v, const Box& region, double value) {
-  with_typed(v, [&](auto* base) {
-    const auto x = static_cast<elem_t<decltype(base)>>(value);
-    walk_rows(region, v, v, false, [&](const Row& r) {
-      std::fill_n(base + r.a, r.len, x);
-      return 0.0;
-    });
+  walk_rows(region, v, v, false, [&](const Row& r) {
+    std::fill_n(v.ptr + r.a, r.len, value);
+    return 0.0;
   });
 }
 
 void copy_region(View dst, View src, const Box& region, Fork fork) {
-  with_typed(dst, src, [&](auto* d, auto* s) {
-    using D = elem_t<decltype(d)>;
-    walk_rows(region, dst, src, fork == Fork::Auto, [&](const Row& r) {
-      if constexpr (std::is_same_v<D, elem_t<decltype(s)>>) {
-        std::memcpy(d + r.a, s + r.b,
-                    static_cast<std::size_t>(r.len) * sizeof(D));
-      } else {
-        for (index_t l = 0; l < r.len; ++l) {
-          d[r.a + l] = static_cast<D>(s[r.b + l]);
-        }
-      }
-      return 0.0;
-    });
-  });
-}
-
-void add_region(View dst, View src, const Box& region) {
-  with_typed(dst, src, [&](auto* d, const auto* s) {
-    using D = elem_t<decltype(d)>;
-    walk_rows(region, dst, src, true, [&](const Row& r) {
-      for (index_t l = 0; l < r.len; ++l) {
-        d[r.a + l] = static_cast<D>(static_cast<double>(d[r.a + l]) +
-                                    static_cast<double>(s[r.b + l]));
-      }
-      return 0.0;
-    });
+  walk_rows(region, dst, src, fork == Fork::Auto, [&](const Row& r) {
+    std::memcpy(dst.ptr + r.a, src.ptr + r.b,
+                static_cast<std::size_t>(r.len) * sizeof(double));
+    return 0.0;
   });
 }
 
 double max_norm(View v, const Box& region) {
-  return with_typed(v, [&](const auto* p) {
-    return walk_rows(region, v, v, true, [&](const Row& r) {
-      double m = 0.0;
-      for (index_t l = 0; l < r.len; ++l) {
-        m = nan_max(m, std::abs(static_cast<double>(p[r.a + l])));
-      }
-      return m;
-    });
+  return walk_rows(region, v, v, true, [&](const Row& r) {
+    double m = 0.0;
+    for (index_t l = 0; l < r.len; ++l) {
+      m = nan_max(m, std::abs(v.ptr[r.a + l]));
+    }
+    return m;
   });
 }
 
 double l2_norm(View v, const Box& region) {
   // Serial and row-major: the sum's rounding depends on its order.
   double s = 0.0;
-  with_typed(v, [&](const auto* p) {
-    walk_rows(region, v, v, false, [&](const Row& r) {
-      for (index_t l = 0; l < r.len; ++l) {
-        const double x = p[r.a + l];
-        s += x * x;
-      }
-      return 0.0;
-    });
+  walk_rows(region, v, v, false, [&](const Row& r) {
+    for (index_t l = 0; l < r.len; ++l) {
+      const double x = v.ptr[r.a + l];
+      s += x * x;
+    }
+    return 0.0;
   });
   return std::sqrt(s);
 }
 
 double max_diff(View a, View b, const Box& region) {
-  return with_typed(a, b, [&](const auto* pa, const auto* pb) {
-    return walk_rows(region, a, b, true, [&](const Row& r) {
-      double m = 0.0;
-      for (index_t l = 0; l < r.len; ++l) {
-        m = nan_max(m, std::abs(static_cast<double>(pa[r.a + l]) -
-                                static_cast<double>(pb[r.b + l])));
-      }
-      return m;
-    });
+  return walk_rows(region, a, b, true, [&](const Row& r) {
+    double m = 0.0;
+    for (index_t l = 0; l < r.len; ++l) {
+      m = nan_max(m, std::abs(a.ptr[r.a + l] - b.ptr[r.b + l]));
+    }
+    return m;
   });
 }
 

@@ -22,12 +22,9 @@ namespace polymg::ir {
 
 /// One bound source grid as the generated code sees it. Mirrors
 /// grid::View minus ndim (baked) with fixed-width fields so the struct
-/// layout is identical in C and C++. The data pointer is untyped: the
-/// element type (double or float, from the plan's storage-precision
-/// assignment) is baked into the generated code as a cast, like every
-/// other plan-time constant.
+/// layout is identical in C and C++.
 struct JitSrcView {
-  const void* ptr = nullptr;
+  const double* ptr = nullptr;
   std::int64_t origin[3] = {0, 0, 0};
   std::int64_t stride[3] = {0, 0, 0};
 };
@@ -36,18 +33,15 @@ struct JitSrcView {
 /// points of [lo, hi] (inclusive, per live dimension) that match the
 /// baked (step, phase). `out_origin`/`out_stride` address the output
 /// view; the innermost stride of the output and of every source must be
-/// 1 (the caller checks before dispatching). `out` is untyped for the
-/// same reason as JitSrcView::ptr; the kernel was emitted for exactly
-/// the dtypes the plan assigned, and the executor binds views of
-/// exactly those dtypes.
-using JitKernelFn = void (*)(void* out, const std::int64_t* out_origin,
+/// 1 (the caller checks before dispatching).
+using JitKernelFn = void (*)(double* out, const std::int64_t* out_origin,
                              const std::int64_t* out_stride,
                              const JitSrcView* srcs, const std::int64_t* lo,
                              const std::int64_t* hi);
 
 /// Checked against the `pmg_abi_version` symbol of a dlopen'd module.
-/// v2: untyped data pointers + dtype casts baked into the emitted code.
-inline constexpr int kJitAbiVersion = 2;
+/// v3: typed double pointers (v2 carried untyped pointers plus casts).
+inline constexpr int kJitAbiVersion = 3;
 
 /// Most source slots a generated kernel addresses; the dispatch site
 /// builds a stack array this size (pipelines stay well under it — NAS

@@ -16,10 +16,11 @@
 //  * run time — events are dropped unless a TraceSession is active
 //    (started explicitly or via the bench drivers' --trace/POLYMG_TRACE).
 //
-// Sessions must be started and stopped outside executor runs; per-thread
-// rings make recording race-free inside parallel regions, and the ring
-// wraps (oldest events overwritten, counted in dropped()) rather than
-// growing.
+// Sessions must be started and stopped outside executor runs. Each
+// recording thread owns one ring (a slot it takes on its first event of
+// the session), so recording is race-free inside parallel regions and
+// across service threads alike, and the ring wraps (oldest events
+// overwritten, counted in dropped()) rather than growing.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +74,6 @@ enum class EventKind : std::uint8_t {
   JitFallback,        ///< specialization unavailable (no toolchain,
                       ///< compile failure, injected jit.compile fault):
                       ///< the plan runs on the register engine
-  PrecisionCheck,     ///< mixed-precision oracle comparison: group=cycle,
-                      ///< id=1 violation / 0 clean, value=mixed residual
   RequestSpan,        ///< one request's in-worker residency (dequeue ->
                       ///< completion): group=tenant index, id=ticket,
                       ///< value=deadline ms (0 = none), req=ticket
@@ -128,15 +127,16 @@ void trace_instant(EventKind kind, int group, int stage, int id,
 void trace_span(EventKind kind, std::int64_t t0_ns, int group, int stage,
                 int id, double value = 0.0, std::int32_t req = -1);
 
-/// Process-global trace session: one ring buffer per OpenMP thread slot,
-/// sized once at start(). start/stop/snapshot must be called from serial
-/// code (outside executor runs); recording itself is safe from any team
-/// thread.
+/// Process-global trace session: one ring buffer per recording thread,
+/// sized once at start(). A thread takes the next of the table's slots
+/// the first time it records in a session; TraceEvent::tid is that slot.
+/// start/stop/snapshot must be called from serial code (outside executor
+/// runs); recording itself is safe from any thread.
 class TraceSession {
 public:
-  /// Allocate rings (one per current max_threads() slot, capacity rounded
-  /// up to a power of two) and enable recording. Restarting an active
-  /// session discards its events.
+  /// Allocate the ring table (at least 64 slots; the first max_threads()
+  /// rings eagerly, capacity rounded up to a power of two) and enable
+  /// recording. Restarting an active session discards its events.
   static void start(std::size_t events_per_thread = std::size_t{1} << 16);
 
   /// Disable recording. Buffered events stay readable until the next
@@ -145,12 +145,12 @@ public:
 
   static bool active();
 
-  /// Events overwritten by ring wraparound plus events from thread ids
-  /// beyond the ring table, across the session.
+  /// Events overwritten by ring wraparound plus events from recording
+  /// threads beyond the ring table, across the session.
   static std::uint64_t dropped();
 
   /// Buffered events, oldest first within each thread, threads
-  /// concatenated in id order. Call after stop().
+  /// concatenated in slot order. Call after stop().
   static std::vector<TraceEvent> snapshot();
 
   /// Rings allocated by the active/last session.

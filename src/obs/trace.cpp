@@ -13,9 +13,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One single-writer ring. Only the owning thread touches head/drops
-/// while a session runs; padding keeps neighbouring rings off one cache
-/// line.
+/// One single-writer ring. Only the thread holding its slot touches
+/// head/drops while a session runs; padding keeps neighbouring rings off
+/// one cache line.
 struct alignas(64) Ring {
   std::vector<TraceEvent> buf;
   std::uint64_t head = 0;   ///< events ever pushed
@@ -26,7 +26,10 @@ struct Session {
   std::vector<Ring> rings;
   std::size_t mask = 0;  ///< capacity - 1 (capacity is a power of two)
   Clock::time_point epoch{};
-  std::atomic<std::uint64_t> tid_drops{0};  ///< thread id beyond the table
+  std::atomic<std::uint64_t> tid_drops{0};  ///< slot beyond the table
+  /// Bumped by every start(): a thread's slot is valid for one session.
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<std::size_t> next_slot{0};  ///< slots handed out so far
   /// Whether this session's drops were already folded into the
   /// obs.dropped_events counter (stop() is idempotent).
   bool drops_accounted = true;
@@ -38,6 +41,25 @@ Session& session() {
 }
 
 std::atomic<bool> g_enabled{false};
+
+/// The calling thread's ring slot and the session it was taken in.
+struct ThreadSlot {
+  std::uint64_t generation = 0;
+  std::size_t slot = 0;
+};
+thread_local ThreadSlot t_slot;
+
+/// Ring slot of the calling thread. A thread takes the next free slot
+/// the first time it records in a session, so every recording thread —
+/// OpenMP team member, service worker or supervisor — owns one ring.
+std::size_t ring_slot(Session& s) {
+  const std::uint64_t gen = s.generation.load(std::memory_order_acquire);
+  if (t_slot.generation != gen) {
+    t_slot.generation = gen;
+    t_slot.slot = s.next_slot.fetch_add(1, std::memory_order_relaxed);
+  }
+  return t_slot.slot;
+}
 
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -75,7 +97,6 @@ const char* to_string(EventKind k) {
     case EventKind::JitCompile: return "jit_compile";
     case EventKind::JitCacheHit: return "jit_cache_hit";
     case EventKind::JitFallback: return "jit_fallback";
-    case EventKind::PrecisionCheck: return "precision_check";
     case EventKind::RequestSpan: return "request";
     case EventKind::RequestQueueWait: return "request_queue_wait";
     case EventKind::StallDetected: return "stall_detected";
@@ -100,16 +121,16 @@ namespace {
 void record(EventKind kind, std::int64_t ts_ns, std::int64_t dur_ns,
             int group, int stage, int id, double value, std::int32_t req) {
   Session& s = session();
-  const int tid = thread_id();
-  if (static_cast<std::size_t>(tid) >= s.rings.size()) {
+  const std::size_t slot = ring_slot(s);
+  if (slot >= s.rings.size()) {
     s.tid_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Ring& r = s.rings[static_cast<std::size_t>(tid)];
+  Ring& r = s.rings[slot];
   // Rings are single-writer, so the owning thread can allocate its own
-  // buffer on first use — the ring table covers thread counts raised
-  // after start() (set_num_threads mid-benchmark) without paying the
-  // full table's memory up front.
+  // buffer on first use — the ring table covers more recording threads
+  // than the current team (set_num_threads mid-benchmark, service
+  // workers) without paying the full table's memory up front.
   if (r.buf.empty()) r.buf.assign(s.mask + 1, TraceEvent{});
   TraceEvent& e = r.buf[static_cast<std::size_t>(r.head) & s.mask];
   if (r.head > s.mask) ++r.drops;  // this slot held an older event
@@ -120,7 +141,7 @@ void record(EventKind kind, std::int64_t ts_ns, std::int64_t dur_ns,
   e.id = id;
   e.req = req;
   e.group = static_cast<std::int16_t>(group);
-  e.tid = static_cast<std::uint8_t>(tid);
+  e.tid = static_cast<std::uint8_t>(slot);
   e.kind = kind;
   ++r.head;
 }
@@ -147,9 +168,10 @@ void TraceSession::start(std::size_t events_per_thread) {
   const std::size_t cap = round_up_pow2(
       events_per_thread < 2 ? std::size_t{2} : events_per_thread);
   s.mask = cap - 1;
-  // The table covers threads created after start() (the drivers bump
-  // set_num_threads between series); only the current team's buffers are
-  // paid for eagerly, the rest allocate on first use.
+  // The table covers more recording threads than the current team (the
+  // drivers bump set_num_threads between series; service workers record
+  // too); only the current team's buffers are paid for eagerly, the rest
+  // allocate on first use.
   constexpr std::size_t kMaxTracedThreads = 64;
   s.rings.assign(std::max<std::size_t>(
                      static_cast<std::size_t>(max_threads()),
@@ -159,6 +181,8 @@ void TraceSession::start(std::size_t events_per_thread) {
     s.rings[static_cast<std::size_t>(t)].buf.assign(cap, TraceEvent{});
   }
   s.tid_drops.store(0, std::memory_order_relaxed);
+  s.next_slot.store(0, std::memory_order_relaxed);
+  s.generation.fetch_add(1, std::memory_order_release);
   s.drops_accounted = false;
   s.epoch = Clock::now();
   g_enabled.store(true, std::memory_order_release);

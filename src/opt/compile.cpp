@@ -325,99 +325,6 @@ CompiledPipeline compile(Pipeline pipe, const CompileOptions& opts) {
     }
   }
 
-  // ---- Storage precision assignment. ----
-  // Default (and Precision::Double): everything F64 — bit-identical to
-  // the historical plans. Mixed/Float assign F32 storage to fine-grid
-  // functions; pipeline outputs always store F64 (callers, checkpoints
-  // and the guarded bit-compare depend on double outputs), and every
-  // F32 decision is then repaired toward F64 until two invariants hold:
-  //  1. a TimeTiled smoother chain is dtype-uniform (its ping-pong pair
-  //     is shared by every step), and
-  //  2. every function reads sources of ONE dtype (the templated fast
-  //     kernels are specialized per (out, src) dtype pair; mixed-source
-  //     functions would fall to the point-wise interpreter).
-  // Demotion is monotone F32 -> F64, so the repair loop terminates.
-  cp.func_dtype.assign(pipe.funcs.size(), grid::DType::F64);
-  cp.external_dtype.assign(pipe.externals.size(), grid::DType::F64);
-  if (opts.precision.mixed()) {
-    int finest = -1;
-    for (const ir::FunctionDecl& f : pipe.funcs) {
-      finest = std::max(finest, f.level);
-    }
-    const int cross = std::max(1, opts.precision.crossover);
-    const auto fine = [&](int i) {
-      if (opts.precision.mode == Precision::Float) return true;
-      const int lvl = pipe.funcs[static_cast<std::size_t>(i)].level;
-      return lvl >= 0 && finest >= 0 && lvl > finest - cross;
-    };
-    for (int i = 0; i < pipe.num_stages(); ++i) {
-      if (fine(i) && !pipe.is_output(i)) {
-        cp.func_dtype[static_cast<std::size_t>(i)] = grid::DType::F32;
-      }
-    }
-    // An external stores F32 when every consumer is a fine-grid stage
-    // (consumers that themselves store F64 — the pipeline output — read
-    // the same float fine grid, so uniformity still holds).
-    for (std::size_t e = 0; e < pipe.externals.size(); ++e) {
-      bool any = false, all = true;
-      for (int i = 0; i < pipe.num_stages(); ++i) {
-        for (const ir::SourceSlot& s : pipe.funcs[static_cast<std::size_t>(i)]
-                                           .sources) {
-          if (s.external && s.index == static_cast<int>(e)) {
-            any = true;
-            all = all && fine(i);
-          }
-        }
-      }
-      if (any && all) cp.external_dtype[e] = grid::DType::F32;
-    }
-    const auto slot_dtype = [&](const ir::SourceSlot& s) {
-      return s.external
-                 ? cp.external_dtype[static_cast<std::size_t>(s.index)]
-                 : cp.func_dtype[static_cast<std::size_t>(s.index)];
-    };
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      // Invariant 1: TimeTiled chains share one ping-pong pair.
-      for (const GroupPlan& gp : cp.groups) {
-        if (gp.exec != GroupExec::TimeTiled) continue;
-        bool any64 = false;
-        for (const StagePlan& sp : gp.stages) {
-          any64 = any64 || cp.func_dtype[static_cast<std::size_t>(sp.func)] ==
-                               grid::DType::F64;
-        }
-        if (!any64) continue;
-        for (const StagePlan& sp : gp.stages) {
-          grid::DType& dt = cp.func_dtype[static_cast<std::size_t>(sp.func)];
-          if (dt != grid::DType::F64) {
-            dt = grid::DType::F64;
-            changed = true;
-          }
-        }
-      }
-      // Invariant 2: uniform source dtype per function — demote the F32
-      // sources of any mixed-source function.
-      for (const ir::FunctionDecl& f : pipe.funcs) {
-        bool has32 = false, has64 = false;
-        for (const ir::SourceSlot& s : f.sources) {
-          (slot_dtype(s) == grid::DType::F32 ? has32 : has64) = true;
-        }
-        if (!(has32 && has64)) continue;
-        for (const ir::SourceSlot& s : f.sources) {
-          grid::DType& dt =
-              s.external
-                  ? cp.external_dtype[static_cast<std::size_t>(s.index)]
-                  : cp.func_dtype[static_cast<std::size_t>(s.index)];
-          if (dt != grid::DType::F64) {
-            dt = grid::DType::F64;
-            changed = true;
-          }
-        }
-      }
-    }
-  }
-
   cp.pipe = std::move(pipe);
   return cp;
 }

@@ -21,35 +21,6 @@ enum class Variant {
 
 std::string to_string(Variant v);
 
-/// Storage precision of the compiled pipeline's stages.
-///
-/// `Double` is the historical behavior: every stage stores binary64 and
-/// results are bit-identical to pre-mixed-precision builds. `Mixed`
-/// stores the fine-grid stages (levels within `PrecisionPolicy::
-/// crossover` of the finest) as float — halving hot-path bandwidth on
-/// the memory-bound smoothing/residual/restriction stages — while
-/// coarse levels, pipeline outputs and every accumulation stay double.
-/// `Float` stores every internal stage as float (outputs stay double).
-/// Kernel arithmetic is double in all modes; a float stage costs one
-/// rounding per stored point.
-enum class Precision : std::uint8_t { Double, Mixed, Float };
-
-std::string to_string(Precision p);
-
-/// Per-level precision assignment carried by CompileOptions into the
-/// plan (CompiledPipeline::func_dtype / external_dtype) and validated
-/// by opt::validate.
-struct PrecisionPolicy {
-  Precision mode = Precision::Double;
-  /// Mixed only: how many of the finest levels run in float storage
-  /// (1 = just the finest grid). Levels below the crossover — and any
-  /// function with no level assigned — stay double.
-  int crossover = 2;
-
-  bool mixed() const { return mode != Precision::Double; }
-  bool operator==(const PrecisionPolicy&) const = default;
-};
-
 /// Whether plans may bind natively JIT-compiled stencil kernels.
 /// `Auto` (the default) uses the JIT when a system compiler is
 /// available and falls back to the register engine / interpreter
@@ -104,13 +75,6 @@ struct CompileOptions {
   /// codegen::set_jit_mode(Off) override (the --jit=off bench flag)
   /// wins over any per-plan setting.
   JitMode jit = JitMode::Auto;
-
-  /// Storage-precision assignment (Double = bit-identical historical
-  /// behavior). compile() derives per-function dtypes from this policy
-  /// and the functions' multigrid levels; guarded_solve adds an outer
-  /// defect-correction loop and an oracle cross-check when the policy
-  /// is not Double.
-  PrecisionPolicy precision;
 
   /// Grain-size fast path: a Loops stage whose domain holds fewer points
   /// than this runs on the calling thread instead of forking a team —

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "polymg/grid/dtype.hpp"
 #include "polymg/ir/lowering.hpp"
 #include "polymg/ir/pipeline.hpp"
 #include "polymg/opt/options.hpp"
@@ -93,27 +92,6 @@ struct CompiledPipeline {
   /// Arrays to pool_deallocate after each group finishes (index parallel
   /// to `groups`).
   std::vector<std::vector<int>> release_after_group;
-
-  /// Storage dtype per function / per external grid, derived by
-  /// compile() from opts.precision and the functions' multigrid levels
-  /// (empty == all F64, the historical plans). Arrays themselves stay
-  /// dtype-agnostic double-unit storage — an F32 function simply uses
-  /// the front half of its allocation — so storage reuse and pooling
-  /// need no dtype partitioning. Pipeline outputs are always F64; an
-  /// external is F32 only when *every* consumer is F32.
-  std::vector<grid::DType> func_dtype;
-  std::vector<grid::DType> external_dtype;
-
-  grid::DType dtype_of_func(int f) const {
-    return static_cast<std::size_t>(f) < func_dtype.size()
-               ? func_dtype[static_cast<std::size_t>(f)]
-               : grid::DType::F64;
-  }
-  grid::DType dtype_of_external(int e) const {
-    return static_cast<std::size_t>(e) < external_dtype.size()
-               ? external_dtype[static_cast<std::size_t>(e)]
-               : grid::DType::F64;
-  }
 
   /// Keepalive for the dlopen'd native-kernel module whose function
   /// pointers are bound into `lowered[..].defs[..].jit` (set by

@@ -28,18 +28,6 @@ std::string to_string(JitMode m) {
   return "?";
 }
 
-std::string to_string(Precision p) {
-  switch (p) {
-    case Precision::Double:
-      return "double";
-    case Precision::Mixed:
-      return "mixed";
-    case Precision::Float:
-      return "float";
-  }
-  return "?";
-}
-
 CompileOptions CompileOptions::for_variant(Variant v, int ndim) {
   CompileOptions o;
   o.variant = v;

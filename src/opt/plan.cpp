@@ -258,14 +258,6 @@ std::uint64_t kernel_fingerprint(const CompiledPipeline& plan) {
     const ir::LoweredFunc& lf = plan.lowered[f];
     fp.byte(static_cast<std::uint8_t>(fn.ndim));
     fp.byte(fn.parity_piecewise ? 1 : 0);
-    // Storage dtypes select the load/store casts the emitted kernel
-    // bakes in, so they are part of the kernel's identity.
-    fp.byte(static_cast<std::uint8_t>(plan.dtype_of_func(static_cast<int>(f))));
-    for (const ir::SourceSlot& s : fn.sources) {
-      fp.byte(static_cast<std::uint8_t>(
-          s.external ? plan.dtype_of_external(s.index)
-                     : plan.dtype_of_func(s.index)));
-    }
     fp.u64(static_cast<std::uint64_t>(lf.defs.size()));
     for (const ir::LoweredDef& d : lf.defs) {
       // Linearizability selects the emission order (tap loop vs register

@@ -348,66 +348,6 @@ std::vector<std::string> plan_issues(const CompiledPipeline& cp) {
     }
   }
 
-  // ---- Storage precision invariants. ----
-  out.check(cp.func_dtype.empty() ||
-                static_cast<int>(cp.func_dtype.size()) == nfuncs,
-            [&](auto& o) {
-              o << "func_dtype covers " << cp.func_dtype.size() << " of "
-                << nfuncs << " functions";
-            });
-  out.check(cp.external_dtype.empty() ||
-                cp.external_dtype.size() == pipe.externals.size(),
-            [&](auto& o) {
-              o << "external_dtype covers " << cp.external_dtype.size()
-                << " of " << pipe.externals.size() << " externals";
-            });
-  if (!cp.opts.precision.mixed()) {
-    for (int f = 0; f < nfuncs; ++f) {
-      out.check(cp.dtype_of_func(f) == grid::DType::F64, [&](auto& o) {
-        o << pipe.funcs[f].name
-          << " stores F32 in a Precision::Double plan";
-      });
-    }
-    for (std::size_t e = 0; e < pipe.externals.size(); ++e) {
-      out.check(cp.dtype_of_external(static_cast<int>(e)) ==
-                    grid::DType::F64,
-                [&](auto& o) {
-                  o << "external " << e
-                    << " stores F32 in a Precision::Double plan";
-                });
-    }
-  }
-  for (int outf : pipe.outputs) {
-    out.check(cp.dtype_of_func(outf) == grid::DType::F64, [&](auto& o) {
-      o << "pipeline output " << pipe.funcs[outf].name << " stores F32";
-    });
-  }
-  for (int f = 0; f < nfuncs; ++f) {
-    // The kernels are specialized per (out, src) dtype pair: every
-    // function must read sources of one dtype, and a TimeTiled chain
-    // (one shared ping-pong pair) must be dtype-uniform.
-    bool has32 = false, has64 = false;
-    for (const ir::SourceSlot& s : pipe.funcs[f].sources) {
-      const grid::DType dt = s.external ? cp.dtype_of_external(s.index)
-                                        : cp.dtype_of_func(s.index);
-      (dt == grid::DType::F32 ? has32 : has64) = true;
-    }
-    out.check(!(has32 && has64), [&](auto& o) {
-      o << pipe.funcs[f].name << " reads mixed-dtype sources";
-    });
-  }
-  for (std::size_t gi = 0; gi < cp.groups.size(); ++gi) {
-    const GroupPlan& g = cp.groups[gi];
-    if (g.exec != GroupExec::TimeTiled || g.stages.empty()) continue;
-    const grid::DType dt0 = cp.dtype_of_func(g.stages.front().func);
-    for (const StagePlan& sp : g.stages) {
-      out.check(cp.dtype_of_func(sp.func) == dt0, [&](auto& o) {
-        o << "time-tiled group " << gi << " mixes storage dtypes ("
-          << pipe.funcs[sp.func].name << ")";
-      });
-    }
-  }
-
   return out.take();
 }
 
@@ -434,9 +374,6 @@ CompileOptions reference_options(const CompileOptions& base) {
   // And never through code the specializer emitted — the oracle is the
   // independent check on exactly that code.
   o.jit = JitMode::Off;
-  // The oracle is the double-precision reference a mixed plan is judged
-  // against; it never runs float storage itself.
-  o.precision = PrecisionPolicy{};
   return o;
 }
 

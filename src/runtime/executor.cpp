@@ -261,13 +261,11 @@ obs::RunReport Executor::run_report() const {
       for (const StagePlan& sp : g.stages) {
         const ir::FunctionDecl& f = plan_.pipe.funcs[sp.func];
         const double pts = static_cast<double>(f.domain.count());
-        const double elem =
-            static_cast<double>(grid::dtype_size(plan_.dtype_of_func(sp.func)));
         // Streaming model: one store of the stage's output plus one read
         // per source slot, each over the stage domain — the compulsory
         // traffic the paper's bandwidth argument counts.
-        row.model_bytes +=
-            pts * elem * (1.0 + static_cast<double>(f.sources.size()));
+        row.model_bytes += pts * sizeof(double) *
+                           (1.0 + static_cast<double>(f.sources.size()));
         row.model_flops += pts * flops_per_point(plan_.lowered[sp.func]);
       }
       if (sampled) {
@@ -283,13 +281,10 @@ obs::RunReport Executor::run_report() const {
   return rep;
 }
 
-View Executor::array_view(int array_id, const ir::FunctionDecl& shape,
-                          int func) const {
+View Executor::array_view(int array_id, const ir::FunctionDecl& shape) const {
   PMG_CHECK(array_id >= 0 && array_ptr_[array_id] != nullptr,
             "array for " << shape.name << " not live");
-  View v = View::over(array_ptr_[array_id], shape.domain);
-  v.dtype = plan_.dtype_of_func(func);
-  return v;
+  return View::over(array_ptr_[array_id], shape.domain);
 }
 
 void Executor::ensure_array(int array_id) {
@@ -325,7 +320,7 @@ View Executor::resolve_bind(const SourceBind& b,
     case SourceBind::kArray:
       break;
   }
-  return array_view(b.index, plan_.pipe.funcs[b.func], b.func);
+  return array_view(b.index, plan_.pipe.funcs[b.func]);
 }
 
 int Executor::team_threads() const {
@@ -397,17 +392,6 @@ void Executor::run(std::span<const View> externals) {
                    "external view " << i << " does not cover the domain of "
                                     << eg.name << " (null, wrong ndim, "
                                     << "offset origin or undersized rows)");
-    // Kernels bake the externals' storage dtypes (JIT casts, templated
-    // fast paths), so a mismatched view would be misread wholesale.
-    PMG_CHECK_CODE(
-        externals[i].dtype ==
-            plan_.dtype_of_external(static_cast<int>(i)),
-        ErrorCode::PreconditionViolated,
-        "external view " << i << " is "
-                         << grid::to_string(externals[i].dtype)
-                         << " but the plan stores " << eg.name << " as "
-                         << grid::to_string(plan_.dtype_of_external(
-                                static_cast<int>(i))));
   }
   // Non-pooled variants re-allocate per invocation (the cost the pooled
   // allocator removes): drop everything from the previous run.
@@ -446,7 +430,7 @@ View Executor::output_view(int i) const {
   PMG_CHECK(i >= 0 && i < static_cast<int>(plan_.pipe.outputs.size()),
             "bad output index " << i);
   const int func = plan_.pipe.outputs[i];
-  return array_view(plan_.array_of_func[func], plan_.pipe.funcs[func], func);
+  return array_view(plan_.array_of_func[func], plan_.pipe.funcs[func]);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,7 +446,7 @@ void Executor::exec_loops_part(int gi, int p, const Box& part,
   const StagePlan& sp = g.stages[static_cast<std::size_t>(p)];
   const ir::FunctionDecl& f = plan_.pipe.funcs[sp.func];
   const ir::LoweredFunc& lowered = plan_.lowered[sp.func];
-  const View out = array_view(sp.array, f, sp.func);
+  const View out = array_view(sp.array, f);
   Workspace& ws = workspaces_[static_cast<std::size_t>(tid)];
   ws.srcs.assign(f.sources.size(), View{});
   for (std::size_t s = 0; s < f.sources.size(); ++s) {
@@ -519,10 +503,6 @@ void Executor::exec_overlap_tile(int gi, index_t ti,
                                         << ": region " << regions[p]);
     ws.scratch_views[p] = View::over(
         arena.data() + scratch_off[sp.scratch_buffer], regions[p]);
-    // Scratchpads inherit the stage's storage dtype; sizes stay in
-    // double units (an F32 footprint trivially fits), so nothing about
-    // arena layout or reuse classes changes.
-    ws.scratch_views[p].dtype = plan_.dtype_of_func(sp.func);
     scratch_doubles += regions[p].count();
   }
   if (scratch_doubles > 0) {
@@ -547,12 +527,12 @@ void Executor::exec_overlap_tile(int gi, index_t ti,
         // Live-out with in-group consumers: publish the owned
         // partition slice (disjoint across tiles).
         const Box own = opt::owned_region(f, sp.rel, tile, anchor_f.domain);
-        copy_view(array_view(sp.array, f, sp.func), ws.scratch_views[p], own);
+        copy_view(array_view(sp.array, f), ws.scratch_views[p], own);
       }
     } else {
       // The anchor (and any consumer-less live-out) writes its
       // disjoint region straight to the full array.
-      apply_stage(f, lowered, array_view(sp.array, f, sp.func),
+      apply_stage(f, lowered, array_view(sp.array, f),
                   std::span<const View>(ws.srcs), regions[p]);
     }
   }
@@ -625,12 +605,12 @@ void Executor::run_groups(std::span<const View> externals) {
       for (auto it = g.stages.rbegin(); it != g.stages.rend(); ++it) {
         if (it->array < 0) continue;
         const ir::FunctionDecl& f = plan_.pipe.funcs[it->func];
-        View v = array_view(it->array, f, it->func);
+        View v = array_view(it->array, f);
         std::array<index_t, poly::kMaxDims> mid{};
         for (int d = 0; d < f.ndim; ++d) {
           mid[d] = (f.interior.dim(d).lo + f.interior.dim(d).hi) / 2;
         }
-        v.store_at(mid, std::numeric_limits<double>::quiet_NaN());
+        v.at(mid) = std::numeric_limits<double>::quiet_NaN();
         break;
       }
     }
@@ -647,30 +627,16 @@ void Executor::run_groups(std::span<const View> externals) {
       for (auto it = g.stages.rbegin(); it != g.stages.rend(); ++it) {
         if (it->array < 0) continue;
         const ir::FunctionDecl& f = plan_.pipe.funcs[it->func];
-        View v = array_view(it->array, f, it->func);
+        View v = array_view(it->array, f);
         std::array<index_t, poly::kMaxDims> mid{};
         for (int d = 0; d < f.ndim; ++d) {
           mid[d] = (f.interior.dim(d).lo + f.interior.dim(d).hi) / 2;
         }
-        index_t off = 0;
-        for (int d = 0; d < f.ndim; ++d) {
-          off += (mid[d] - v.origin[d]) * v.stride[d];
-        }
-        if (v.dtype == grid::DType::F32) {
-          // Flip the top exponent bit of the binary32 value: finite but
-          // wrong by ~2^64, the same signature scaled to float width.
-          float& x = v.f32()[off];
-          std::uint32_t bits;
-          std::memcpy(&bits, &x, sizeof(bits));
-          bits ^= (1U << 30);
-          std::memcpy(&x, &bits, sizeof(bits));
-        } else {
-          double& x = v.ptr[off];
-          std::uint64_t bits;
-          std::memcpy(&bits, &x, sizeof(bits));
-          bits ^= (1ULL << 62);
-          std::memcpy(&x, &bits, sizeof(bits));
-        }
+        double& x = v.at(mid);
+        std::uint64_t bits;
+        std::memcpy(&bits, &x, sizeof(bits));
+        bits ^= (1ULL << 62);
+        std::memcpy(&x, &bits, sizeof(bits));
         break;
       }
     }
@@ -762,11 +728,8 @@ void Executor::run_timetile_group(int gi, std::span<const View> externals) {
   const int steps = static_cast<int>(g.stages.size());
   const std::vector<ChainStep>& chain = chain_[static_cast<std::size_t>(gi)];
 
-  // The whole chain shares one dtype (validate enforces it), so the
-  // ping-pong pair is tagged by the first step's function.
-  const View out = array_view(last.array, step_fn, g.stages.front().func);
-  const View tmp =
-      array_view(g.time_temp_array, step_fn, g.stages.front().func);
+  const View out = array_view(last.array, step_fn);
+  const View tmp = array_view(g.time_temp_array, step_fn);
   View bufs[2];
   bufs[steps & 1] = out;
   bufs[1 - (steps & 1)] = tmp;

@@ -1,7 +1,6 @@
 #include "polymg/runtime/guarded.hpp"
 
 #include "polymg/common/health.hpp"
-#include "polymg/grid/ops.hpp"
 #include "polymg/obs/metrics.hpp"
 #include "polymg/obs/trace.hpp"
 #include "polymg/opt/validate.hpp"
@@ -141,27 +140,7 @@ void GuardedExecutor::run(std::span<const View> externals) {
                     0.0);
   ctr_fallback_runs_->add(1);
   ensure_reference();
-  // The reference plan is compiled full-double (reference_options), so a
-  // mixed optimized plan's float externals must be promoted before the
-  // re-run — promotion is exact, the fallback result is the double
-  // result. Staging buffers persist across fallbacks.
-  std::vector<View> ref_ext(externals.begin(), externals.end());
-  for (std::size_t i = 0; i < ref_ext.size(); ++i) {
-    const grid::DType want =
-        reference_->plan().dtype_of_external(static_cast<int>(i));
-    if (ref_ext[i].dtype == want || want != grid::DType::F64) continue;
-    if (fallback_ext_.size() < ref_ext.size()) {
-      fallback_ext_.resize(ref_ext.size());
-    }
-    const poly::Box dom = pipe_.externals[i].domain;
-    if (!fallback_ext_[i].allocated()) {
-      fallback_ext_[i] = grid::make_grid(dom);
-    }
-    View staged = View::over(fallback_ext_[i].data(), dom);
-    grid::copy_region(staged, ref_ext[i], dom);
-    ref_ext[i] = staged;
-  }
-  reference_->run(ref_ext);
+  reference_->run(externals);
   ++report_.fallback_runs;
   report_.used_fallback = true;
   last_from_fallback_ = true;

@@ -158,12 +158,8 @@ private:
     std::vector<View> srcs;
   };
 
-  /// View over a live full array, shaped by `shape` and tagged with the
-  /// storage dtype the plan assigned to `func` (arrays themselves are
-  /// dtype-agnostic double-unit storage; the tag drives every kernel's
-  /// load/store width).
-  View array_view(int array_id, const ir::FunctionDecl& shape,
-                  int func) const;
+  /// View over a live full array, shaped by `shape`.
+  View array_view(int array_id, const ir::FunctionDecl& shape) const;
   View resolve_bind(const SourceBind& b, std::span<const View> externals,
                     std::span<const View> scratch_views) const;
 

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "polymg/ir/pipeline.hpp"
 #include "polymg/runtime/executor.hpp"
@@ -106,10 +105,6 @@ private:
   std::atomic<std::uint64_t>* progress_sink_ = nullptr;
   std::unique_ptr<Executor> optimized_;
   std::unique_ptr<Executor> reference_;
-  /// Double staging buffers for fallback runs of a mixed plan: the
-  /// reference plan is full-double, so float externals are promoted
-  /// (exactly) into these before the re-run. Lazily sized, reused.
-  std::vector<grid::Buffer> fallback_ext_;
   bool last_from_fallback_ = false;
   GuardReport report_;
 

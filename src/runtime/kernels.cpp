@@ -1,8 +1,6 @@
 #include "polymg/runtime/kernels.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "polymg/common/error.hpp"
@@ -57,11 +55,9 @@ bool make_levels(const Box& region, int ndim,
 }
 
 /// One flattened tap of the fast path: a base pointer (for u == 0) plus
-/// per-loop-counter strides. TIn is the source element type; coeffs and
-/// all accumulation stay double regardless.
-template <typename TIn>
+/// per-loop-counter strides.
 struct FlatTap {
-  const TIn* base;
+  const double* base;
   double coeff;
   index_t s0, s1, s2;
 };
@@ -70,10 +66,10 @@ struct FlatTap {
 /// produces at most a few dozen taps (NAS rprj3 peaks at 27).
 inline constexpr int kMaxStackTaps = 64;
 
-template <int NT, typename TOut, typename TIn>
-inline void row_kernel_fixed(TOut* __restrict__ out, index_t os2,
+template <int NT>
+inline void row_kernel_fixed(double* __restrict__ out, index_t os2,
                              index_t count, double cst,
-                             const FlatTap<TIn>* __restrict__ taps) {
+                             const FlatTap* __restrict__ taps) {
   // All-unit inner strides: the compiler can vectorize this form.
   bool unit = os2 == 1;
   for (int t = 0; t < NT; ++t) unit = unit && taps[t].s2 == 1;
@@ -81,7 +77,7 @@ inline void row_kernel_fixed(TOut* __restrict__ out, index_t os2,
     for (index_t u = 0; u < count; ++u) {
       double acc = cst;
       for (int t = 0; t < NT; ++t) acc += taps[t].coeff * taps[t].base[u];
-      out[u] = static_cast<TOut>(acc);
+      out[u] = acc;
     }
   } else {
     for (index_t u = 0; u < count; ++u) {
@@ -89,7 +85,7 @@ inline void row_kernel_fixed(TOut* __restrict__ out, index_t os2,
       for (int t = 0; t < NT; ++t) {
         acc += taps[t].coeff * taps[t].base[u * taps[t].s2];
       }
-      out[u * os2] = static_cast<TOut>(acc);
+      out[u * os2] = acc;
     }
   }
 }
@@ -97,12 +93,9 @@ inline void row_kernel_fixed(TOut* __restrict__ out, index_t os2,
 /// Generic tap counts (variable-coefficient 3-d stencils land on 10–18)
 /// in blocks of four taps: each pass is a clean 4-term axpy the
 /// vectorizer handles, instead of a variable-trip-count inner tap loop.
-/// Double output only — the multi-pass form accumulates *into* the
-/// output row, which would round per pass on a float row.
-template <typename TIn>
 void row_kernel_blocked4(int nt, double* __restrict__ out, index_t os2,
                          index_t count, double cst,
-                         const FlatTap<TIn>* __restrict__ taps) {
+                         const FlatTap* __restrict__ taps) {
   bool unit = os2 == 1;
   for (int t = 0; t < nt; ++t) unit = unit && taps[t].s2 == 1;
   if (!unit) {
@@ -118,10 +111,10 @@ void row_kernel_blocked4(int nt, double* __restrict__ out, index_t os2,
   for (index_t u = 0; u < count; ++u) out[u] = cst;
   int t = 0;
   for (; t + 4 <= nt; t += 4) {
-    const TIn* __restrict__ b0 = taps[t + 0].base;
-    const TIn* __restrict__ b1 = taps[t + 1].base;
-    const TIn* __restrict__ b2 = taps[t + 2].base;
-    const TIn* __restrict__ b3 = taps[t + 3].base;
+    const double* __restrict__ b0 = taps[t + 0].base;
+    const double* __restrict__ b1 = taps[t + 1].base;
+    const double* __restrict__ b2 = taps[t + 2].base;
+    const double* __restrict__ b3 = taps[t + 3].base;
     const double c0 = taps[t + 0].coeff, c1 = taps[t + 1].coeff;
     const double c2 = taps[t + 2].coeff, c3 = taps[t + 3].coeff;
     for (index_t u = 0; u < count; ++u) {
@@ -129,30 +122,14 @@ void row_kernel_blocked4(int nt, double* __restrict__ out, index_t os2,
     }
   }
   for (; t < nt; ++t) {
-    const TIn* __restrict__ b = taps[t].base;
+    const double* __restrict__ b = taps[t].base;
     const double c = taps[t].coeff;
     for (index_t u = 0; u < count; ++u) out[u] += c * b[u];
   }
 }
 
-/// Variable-tap-count scalar loop with a double accumulator: the float-
-/// output counterpart of row_kernel_blocked4 (one rounding per point).
-template <typename TIn>
-void row_kernel_generic_f32(int nt, float* __restrict__ out, index_t os2,
-                            index_t count, double cst,
-                            const FlatTap<TIn>* __restrict__ taps) {
-  for (index_t u = 0; u < count; ++u) {
-    double acc = cst;
-    for (int t = 0; t < nt; ++t) {
-      acc += taps[t].coeff * taps[t].base[u * taps[t].s2];
-    }
-    out[u * os2] = static_cast<float>(acc);
-  }
-}
-
-template <typename TOut, typename TIn>
-void row_kernel(int nt, TOut* out, index_t os2, index_t count, double cst,
-                const FlatTap<TIn>* taps) {
+void row_kernel(int nt, double* out, index_t os2, index_t count, double cst,
+                const FlatTap* taps) {
   switch (nt) {
     case 1: row_kernel_fixed<1>(out, os2, count, cst, taps); return;
     case 2: row_kernel_fixed<2>(out, os2, count, cst, taps); return;
@@ -173,22 +150,8 @@ void row_kernel(int nt, TOut* out, index_t os2, index_t count, double cst,
     // 10–18 (and anything past 28) run tap-blocked rather than falling
     // back to the scalar variable-count loop.
     default:
-      if constexpr (std::is_same_v<TOut, double>) {
-        row_kernel_blocked4(nt, out, os2, count, cst, taps);
-      } else {
-        row_kernel_generic_f32(nt, out, os2, count, cst, taps);
-      }
+      row_kernel_blocked4(nt, out, os2, count, cst, taps);
       return;
-  }
-}
-
-/// Typed data pointer of a view (the dtype tag's element type).
-template <typename T>
-T* data_ptr(const View& v) {
-  if constexpr (std::is_same_v<T, float>) {
-    return v.f32();
-  } else {
-    return v.ptr;
   }
 }
 
@@ -205,7 +168,6 @@ bool fast_path_ok(const ir::LinearForm& lf, int ndim,
   return true;
 }
 
-template <typename TOut, typename TIn>
 void apply_linear_fast(const ir::LinearForm& lf, View out,
                        std::span<const View> srcs, const Box& region,
                        const std::array<index_t, 3>& step,
@@ -218,10 +180,10 @@ void apply_linear_fast(const ir::LinearForm& lf, View out,
   // Flatten taps with per-level strides and u==0 base pointers. The
   // steady-state path stays allocation-free: taps live on the stack up
   // to kMaxStackTaps, with a heap fallback for outsized forms.
-  FlatTap<TIn> taps_stack[kMaxStackTaps];
-  std::vector<FlatTap<TIn>> taps_heap;
+  FlatTap taps_stack[kMaxStackTaps];
+  std::vector<FlatTap> taps_heap;
   const int nt = lf.total_taps();
-  FlatTap<TIn>* taps = taps_stack;
+  FlatTap* taps = taps_stack;
   if (nt > kMaxStackTaps) {
     taps_heap.resize(static_cast<std::size_t>(nt));
     taps = taps_heap.data();
@@ -230,7 +192,6 @@ void apply_linear_fast(const ir::LinearForm& lf, View out,
   for (const ir::InputTaps& it : lf.inputs) {
     const View& src = srcs[it.slot];
     PMG_DCHECK(src.ptr != nullptr, "unbound source view");
-    const TIn* src_data = data_ptr<TIn>(src);
     index_t in_stride[3] = {0, 0, 0};  // per loop level
     index_t base0 = 0;                 // input offset at u == 0 (no taps)
     for (int lvl = 0; lvl < 3; ++lvl) {
@@ -242,10 +203,10 @@ void apply_linear_fast(const ir::LinearForm& lf, View out,
           (floordiv(num * dl[lvl].start, den) - src.origin[d]) * src.stride[d];
     }
     for (const ir::Tap& t : it.taps) {
-      FlatTap<TIn>& ft = taps[ti++];
+      FlatTap& ft = taps[ti++];
       index_t off = base0;
       for (int d = 0; d < ndim; ++d) off += t.off[d] * src.stride[d];
-      ft.base = src_data + off;
+      ft.base = src.ptr + off;
       ft.coeff = t.coeff;
       ft.s0 = in_stride[0];
       ft.s1 = in_stride[1];
@@ -262,40 +223,23 @@ void apply_linear_fast(const ir::LinearForm& lf, View out,
     out_base += (dl[lvl].start - out.origin[d]) * out.stride[d];
   }
 
-  FlatTap<TIn> row_stack[kMaxStackTaps];
-  std::vector<FlatTap<TIn>> row_heap;
-  FlatTap<TIn>* row = row_stack;
+  FlatTap row_stack[kMaxStackTaps];
+  std::vector<FlatTap> row_heap;
+  FlatTap* row = row_stack;
   if (nt > kMaxStackTaps) {
     row_heap.resize(static_cast<std::size_t>(nt));
     row = row_heap.data();
   }
   std::copy(taps, taps + nt, row);
-  TOut* out_data = data_ptr<TOut>(out);
   for (index_t u0 = 0; u0 < dl[0].count; ++u0) {
     for (index_t u1 = 0; u1 < dl[1].count; ++u1) {
       for (int t = 0; t < nt; ++t) {
         row[t].base = taps[t].base + u0 * taps[t].s0 + u1 * taps[t].s1;
       }
-      TOut* o = out_data + out_base + u0 * out_stride[0] + u1 * out_stride[1];
+      double* o = out.ptr + out_base + u0 * out_stride[0] + u1 * out_stride[1];
       row_kernel(nt, o, out_stride[2], dl[2].count, lf.constant, row);
     }
   }
-}
-
-/// Common dtype of every *bound* source view, or nullopt when they mix
-/// (compile()'s uniformity repair makes that impossible for plan-driven
-/// calls; caller-supplied views can still mix and take the slow path).
-std::optional<grid::DType> uniform_src_dtype(std::span<const View> srcs) {
-  std::optional<grid::DType> dt;
-  for (const View& s : srcs) {
-    if (s.ptr == nullptr) continue;
-    if (!dt) {
-      dt = s.dtype;
-    } else if (*dt != s.dtype) {
-      return std::nullopt;
-    }
-  }
-  return dt ? dt : std::optional<grid::DType>{grid::DType::F64};
 }
 
 /// Fully general (and slow) per-point path.
@@ -313,7 +257,7 @@ void apply_pointwise(View out, const Box& region,
   if (ndim == 1) {
     for (index_t u = 0; u < dl[0].count; ++u) {
       p[0] = dl[0].start + u * dl[0].step;
-      out.store_at(p, eval(p));
+      out.at(p) = eval(p);
     }
     return;
   }
@@ -322,7 +266,7 @@ void apply_pointwise(View out, const Box& region,
       p[0] = dl[0].start + u0 * dl[0].step;
       for (index_t u1 = 0; u1 < dl[1].count; ++u1) {
         p[1] = dl[1].start + u1 * dl[1].step;
-        out.store_at(p, eval(p));
+        out.at(p) = eval(p);
       }
     }
     return;
@@ -333,7 +277,7 @@ void apply_pointwise(View out, const Box& region,
       p[1] = dl[1].start + u1 * dl[1].step;
       for (index_t u2 = 0; u2 < dl[2].count; ++u2) {
         p[2] = dl[2].start + u2 * dl[2].step;
-        out.store_at(p, eval(p));
+        out.at(p) = eval(p);
       }
     }
   }
@@ -357,12 +301,6 @@ inline constexpr int kLanes = 8;
 struct RegLoadPlan {
   const double* src_ptr = nullptr;
   const double* row_ptr = nullptr;  // src_ptr + current row offset
-  // F32 sources: typed aliases of the same addresses (offsets are in
-  // elements, so pointer arithmetic must use the element type). Lanes
-  // and all arithmetic stay double; the branch costs once per batch.
-  const float* src_ptr32 = nullptr;
-  const float* row_ptr32 = nullptr;
-  bool f32 = false;
   // Outer (non-inner) logical dims: sampled-index parameters + layout.
   int num[3] = {1, 1, 1};
   int den[3] = {1, 1, 1};
@@ -392,22 +330,12 @@ void regprog_batch(const ir::RegProgram& prog, RegLoadPlan* lp,
       case ir::RegOpKind::Load: {
         const RegLoadPlan& L = lp[li++];
         if (L.inner_affine) {
-          if (L.f32) {
-            const float* __restrict__ p = L.row_ptr32 + u * L.adv;
-            if (L.adv == 1) {
-              for (int l = 0; l < w; ++l) d[l] = p[l];
-            } else {
-              const index_t adv = L.adv;
-              for (int l = 0; l < w; ++l) d[l] = p[l * adv];
-            }
+          const double* __restrict__ p = L.row_ptr + u * L.adv;
+          if (L.adv == 1) {
+            for (int l = 0; l < w; ++l) d[l] = p[l];
           } else {
-            const double* __restrict__ p = L.row_ptr + u * L.adv;
-            if (L.adv == 1) {
-              for (int l = 0; l < w; ++l) d[l] = p[l];
-            } else {
-              const index_t adv = L.adv;
-              for (int l = 0; l < w; ++l) d[l] = p[l * adv];
-            }
+            const index_t adv = L.adv;
+            for (int l = 0; l < w; ++l) d[l] = p[l * adv];
           }
         } else {
           // floor(num·x/den) not affine in u (÷2 interpolation maps at
@@ -417,8 +345,7 @@ void regprog_batch(const ir::RegProgram& prog, RegLoadPlan* lp,
             const index_t q =
                 floordiv(L.num_in * x, L.den_in) + L.off_in;
             const index_t e = (q - L.origin_in) * L.stride_in;
-            d[l] = L.f32 ? static_cast<double>(L.row_ptr32[e])
-                         : L.row_ptr[e];
+            d[l] = L.row_ptr[e];
           }
         }
         break;
@@ -465,23 +392,8 @@ void apply_linear(const ir::LinearForm& lf, View out,
                   std::array<index_t, 3> step, std::array<index_t, 3> phase) {
   if (region.empty()) return;
   if (fast_path_ok(lf, out.ndim, step)) {
-    // The fast path is specialized per (out, src) element type; mixed-
-    // dtype sources (impossible in plan-driven calls) fall through to
-    // the point-wise loop below.
-    if (const auto sd = uniform_src_dtype(srcs)) {
-      const bool o32 = out.dtype == grid::DType::F32;
-      const bool s32 = *sd == grid::DType::F32;
-      if (o32 && s32) {
-        apply_linear_fast<float, float>(lf, out, srcs, region, step, phase);
-      } else if (o32) {
-        apply_linear_fast<float, double>(lf, out, srcs, region, step, phase);
-      } else if (s32) {
-        apply_linear_fast<double, float>(lf, out, srcs, region, step, phase);
-      } else {
-        apply_linear_fast<double, double>(lf, out, srcs, region, step, phase);
-      }
-      return;
-    }
+    apply_linear_fast(lf, out, srcs, region, step, phase);
+    return;
   }
   const int ndim = out.ndim;
   apply_pointwise(out, region, step, phase,
@@ -495,7 +407,7 @@ void apply_linear(const ir::LinearForm& lf, View out,
                           q[d] = floordiv(it.num[d] * p[d], it.den[d]) +
                                  t.off[d];
                         }
-                        acc += t.coeff * src.load_at(q);
+                        acc += t.coeff * src.at(q);
                       }
                     }
                     return acc;
@@ -525,7 +437,7 @@ void apply_bytecode(const ir::Bytecode& bc, View out,
                 q[d] = floordiv(op.idx[d].num * p[d], op.idx[d].den) +
                        op.idx[d].off;
               }
-              stack[sp++] = srcs[op.slot].load_at(q);
+              stack[sp++] = srcs[op.slot].at(q);
               break;
             }
             case ir::BcKind::Neg:
@@ -595,12 +507,7 @@ void apply_regprog(const ir::RegProgram& prog, View out,
       RegLoadPlan& L = lp[li++];
       const View& src = srcs[in.slot];
       PMG_DCHECK(src.ptr != nullptr, "unbound source view");
-      L.f32 = src.dtype == grid::DType::F32;
-      if (L.f32) {
-        L.src_ptr32 = src.f32();
-      } else {
-        L.src_ptr = src.ptr;
-      }
+      L.src_ptr = src.ptr;
       for (int d = 0; d < inner; ++d) {
         L.num[d] = in.idx[d].num;
         L.den[d] = in.idx[d].den;
@@ -661,41 +568,24 @@ void apply_regprog(const ir::RegProgram& prog, View out,
                    L.origin[d]) *
                   L.stride[d];
         }
-        if (L.f32) {
-          L.row_ptr32 = L.src_ptr32 + base;
+        L.row_ptr = L.src_ptr + base;
+      }
+      double* __restrict__ orow =
+          out.ptr + out_base + u0 * out_stride[0] + u1 * out_stride[1];
+      const index_t os2 = out_stride[2];
+      index_t u = 0;
+      for (; u + kLanes <= count; u += kLanes) {
+        regprog_batch<true>(prog, lp, regs, u, kLanes);
+        if (os2 == 1) {
+          for (int l = 0; l < kLanes; ++l) orow[u + l] = res[l];
         } else {
-          L.row_ptr = L.src_ptr + base;
+          for (int l = 0; l < kLanes; ++l) orow[(u + l) * os2] = res[l];
         }
       }
-      const index_t orow_off =
-          out_base + u0 * out_stride[0] + u1 * out_stride[1];
-      const index_t os2 = out_stride[2];
-      const auto run_row = [&]<typename TOut>(TOut* __restrict__ orow) {
-        index_t u = 0;
-        for (; u + kLanes <= count; u += kLanes) {
-          regprog_batch<true>(prog, lp, regs, u, kLanes);
-          if (os2 == 1) {
-            for (int l = 0; l < kLanes; ++l) {
-              orow[u + l] = static_cast<TOut>(res[l]);
-            }
-          } else {
-            for (int l = 0; l < kLanes; ++l) {
-              orow[(u + l) * os2] = static_cast<TOut>(res[l]);
-            }
-          }
-        }
-        if (u < count) {
-          const int w = static_cast<int>(count - u);
-          regprog_batch<false>(prog, lp, regs, u, w);
-          for (int l = 0; l < w; ++l) {
-            orow[(u + l) * os2] = static_cast<TOut>(res[l]);
-          }
-        }
-      };
-      if (out.dtype == grid::DType::F32) {
-        run_row(out.f32() + orow_off);
-      } else {
-        run_row(out.ptr + orow_off);
+      if (u < count) {
+        const int w = static_cast<int>(count - u);
+        regprog_batch<false>(prog, lp, regs, u, w);
+        for (int l = 0; l < w; ++l) orow[(u + l) * os2] = res[l];
       }
     }
   }

@@ -120,9 +120,6 @@ void wavefront_jacobi(View v_in, View v_out, View f, index_t n, int ndim,
   PMG_CHECK(T >= 1, "wavefront needs at least one step");
   PMG_CHECK(ndim == 2 || ndim == 3, "wavefront supports 2-d and 3-d grids");
   PMG_CHECK(v_in.ptr != v_out.ptr, "wavefront input and output must differ");
-  PMG_CHECK(v_in.dtype == grid::DType::F64 && v_out.dtype == grid::DType::F64 &&
-                f.dtype == grid::DType::F64,
-            "wavefront smoother is double-only");
   if (ndim == 2) {
     wavefront_2d(v_in, v_out, f, n, w, inv_h2, T);
   } else {

@@ -41,10 +41,9 @@
 //
 // Threading: workers are plain std::threads; each one runs its solves'
 // OpenMP regions independently (deliberate oversubscription is the
-// overload scenario the bench measures). Tracing's per-thread rings are
-// single-writer per OMP thread id, which concurrent workers would share
-// — run traced sessions with one worker; metrics and reports are safe
-// at any worker count.
+// overload scenario the bench measures). Tracing, metrics and reports
+// are safe at any worker count: every recording thread owns its own
+// trace ring.
 #pragma once
 
 #include <atomic>
@@ -111,8 +110,8 @@ struct ServiceConfig {
   // executors are dropped and recompiled on next use, in case the wedge
   // lives in a specialized plan); after 3×stall_timeout_ms the worker is
   // declared lost — its request is completed WorkerLost by the
-  // supervisor, the thread is detached and a replacement worker with a
-  // fresh session is spawned.
+  // supervisor, the thread is set aside for shutdown() to join and a
+  // replacement worker with a fresh session is spawned.
   /// Heartbeat freeze that triggers stage 1 (ms); 0 disables the
   /// watchdog entirely — the default, so embedded and debugger-attached
   /// uses never fight an escalation ladder.
@@ -244,8 +243,9 @@ public:
   bool cancel(std::uint64_t ticket);
 
   /// Stop admitting, cancel queued-but-unstarted requests, then drain
-  /// with a deadline: workers get shutdown_drain_ms to finish in-flight
-  /// solves, then their tokens are cancelled and kill flags set with
+  /// with a deadline: workers — current ones and those the watchdog
+  /// declared lost — get shutdown_drain_ms to finish in-flight solves,
+  /// then their tokens are cancelled and kill flags set with
   /// shutdown_kill_grace_ms more; a worker still stuck after that is
   /// DETACHED (counted in service.leaked_workers, surfaced as a
   /// RunReport warning by attach_tenants) and its request completed
@@ -284,11 +284,17 @@ private:
   };
 
   /// Per-worker supervision handle, shared between the worker thread,
-  /// the watchdog and shutdown(). shared_ptr ownership: a detached
-  /// (lost/leaked) thread keeps its control block and session alive
-  /// after the service has replaced or destroyed its slot.
+  /// the watchdog and shutdown(). shared_ptr ownership: a lost or leaked
+  /// thread keeps its control block and session alive after the service
+  /// has replaced or destroyed its slot.
   struct WorkerCtl;
   struct WorkerSession;
+  /// A worker the watchdog declared lost: its thread, still to be joined
+  /// by shutdown(), and the control block it reports its exit through.
+  struct LostWorker {
+    std::thread thread;
+    std::shared_ptr<WorkerCtl> ctl;
+  };
 
   void worker_main(std::shared_ptr<WorkerCtl> ctl,
                    std::shared_ptr<WorkerSession> ws);
@@ -333,11 +339,11 @@ private:
 
   /// Per-worker state, slot-indexed. A slot's thread/ctl/session are
   /// replaced together when the watchdog declares the worker lost; the
-  /// old (detached) thread keeps the old ctl/session alive through its
-  /// captured shared_ptrs.
+  /// old thread and ctl move to lost_ until shutdown() retires them.
   std::vector<std::shared_ptr<WorkerCtl>> ctls_;          // guarded by mu_
   std::vector<std::shared_ptr<WorkerSession>> sessions_;  // guarded by mu_
   std::vector<std::thread> workers_;                      // guarded by mu_
+  std::vector<LostWorker> lost_;                          // guarded by mu_
   int leaked_workers_ = 0;  // guarded by mu_
   std::thread supervisor_;
   std::atomic<bool> supervisor_stop_{false};

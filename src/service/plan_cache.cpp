@@ -25,9 +25,7 @@ std::string PlanCache::signature(const solvers::CycleConfig& cfg,
      << opts.register_engine << " sc"
      << opts.storage_class_slack << " dt" << opts.dtile_time_block << "/"
      << opts.dtile_width << " sg" << opts.serial_grain << " j"
-     << opt::to_string(opts.jit) << " p"
-     << opt::to_string(opts.precision.mode) << "/"
-     << opts.precision.crossover;
+     << opt::to_string(opts.jit);
   return os.str();
 }
 

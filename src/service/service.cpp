@@ -319,9 +319,14 @@ void SolveService::shutdown() {
   supervisor_stop_.store(true, std::memory_order_relaxed);
   if (supervisor_.joinable()) supervisor_.join();
 
+  // The supervisor is gone, so ctls_ and lost_ no longer change: a lost
+  // worker is drained, killed, joined or counted like a current one.
   const auto all_exited = [&] {
     for (const auto& c : ctls_) {
       if (!c->exited.load(std::memory_order_acquire)) return false;
+    }
+    for (const LostWorker& l : lost_) {
+      if (!l.ctl->exited.load(std::memory_order_acquire)) return false;
     }
     return true;
   };
@@ -347,36 +352,40 @@ void SolveService::shutdown() {
       }
       for (const auto& c : ctls_) c->killed.store(true, std::memory_order_relaxed);
     }
+    // Lost workers were killed when the watchdog declared them lost.
     clean = wait_exit(std::max(0.0, cfg_.shutdown_kill_grace_ms));
   }
-  // Phase 3: join the exited, detach the stuck. A detached thread holds
-  // shared_ptrs to its ctl and session, so the service can be destroyed
-  // safely behind it; its job (if any) is completed WorkerLost here so
-  // no waiter blocks on a thread that will never answer.
+  // Phase 3: join the exited, detach the stuck. A stuck thread's job (if
+  // any) is completed WorkerLost here so no waiter blocks on a thread
+  // that will never answer; the detached thread is a leak the
+  // service.leaked_workers counter owns up to.
   {
     std::unique_lock<std::mutex> lk(mu_);
     auto& m = obs::Metrics::instance();
-    for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      std::thread& t = workers_[wi];
-      if (!t.joinable()) continue;
-      if (ctls_[wi]->exited.load(std::memory_order_acquire)) {
+    const auto retire = [&](std::thread& t, const WorkerCtl& ctl, int slot) {
+      if (!t.joinable()) return;
+      if (ctl.exited.load(std::memory_order_acquire)) {
         lk.unlock();  // join without the lock: the thread's last steps may need it
         t.join();
         lk.lock();
-      } else {
-        t.detach();
-        ++leaked_workers_;
-        m.counter("service.leaked_workers").add(1);
-        const std::uint64_t jid =
-            ctls_[wi]->job_id.load(std::memory_order_relaxed);
-        if (auto it = jobs_.find(jid); it != jobs_.end() &&
-                                       it->second->state != Job::State::Done) {
-          complete_abandoned_locked(it->second, ErrorCode::WorkerLost,
-                                    static_cast<int>(wi));
-        }
+        return;
       }
+      t.detach();
+      ++leaked_workers_;
+      m.counter("service.leaked_workers").add(1);
+      const std::uint64_t jid = ctl.job_id.load(std::memory_order_relaxed);
+      if (auto it = jobs_.find(jid); it != jobs_.end() &&
+                                     it->second->state != Job::State::Done) {
+        complete_abandoned_locked(it->second, ErrorCode::WorkerLost, slot);
+      }
+    };
+    for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
+      retire(workers_[wi], *ctls_[wi], static_cast<int>(wi));
     }
+    // A lost worker's job was completed when it was declared lost.
+    for (LostWorker& l : lost_) retire(l.thread, *l.ctl, -1);
     workers_.clear();
+    lost_.clear();
   }
   cv_done_.notify_all();
 }
@@ -701,8 +710,10 @@ void SolveService::worker_main(std::shared_ptr<WorkerCtl> ctl,
                           ctl->job_id.load(std::memory_order_relaxed)),
                       0.0);
   }
-  ctl->exited.store(true, std::memory_order_release);
+  // The exited store is this thread's last touch of the service: once
+  // shutdown() sees it, the service may be joined away and destroyed.
   cv_done_.notify_all();
+  ctl->exited.store(true, std::memory_order_release);
 }
 
 void SolveService::complete_abandoned_locked(const std::shared_ptr<Job>& job,
@@ -795,17 +806,16 @@ void SolveService::supervisor_loop() {
           break;
         default: {
           // Stage 3 — declare the worker lost: complete its request
-          // WorkerLost so the waiter unblocks, detach the stuck thread
-          // and spawn a replacement with a fresh control block and
-          // session. The old thread keeps its ctl/session alive through
-          // its captured shared_ptrs and exits at its next kill-flag
-          // poll; if it never polls again, it is the leak the
-          // service.workers_lost counter owns up to.
+          // WorkerLost so the waiter unblocks, move the stuck thread to
+          // the lost list and spawn a replacement with a fresh control
+          // block and session. The old thread exits at its next
+          // kill-flag poll; shutdown() joins it like a current worker,
+          // or counts it leaked if it never polls again.
           ctl.killed.store(true, std::memory_order_relaxed);
           complete_abandoned_locked(job, ErrorCode::WorkerLost,
                                     static_cast<int>(wi));
           m.counter("service.workers_lost").add(1);
-          if (workers_[wi].joinable()) workers_[wi].detach();
+          lost_.push_back(LostWorker{std::move(workers_[wi]), ctls_[wi]});
           auto nctl = std::make_shared<WorkerCtl>();
           auto nws = std::make_shared<WorkerSession>();
           nws->rng = Rng(cfg_.backoff_seed +

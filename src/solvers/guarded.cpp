@@ -1,7 +1,6 @@
 #include "polymg/solvers/guarded.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -49,15 +48,8 @@ std::vector<Rung> build_ladder(const CycleConfig& cfg,
   CycleConfig cur = cfg;
   opt::CompileOptions cur_opts = opts;
   while (static_cast<int>(ladder.size()) < policy.max_attempts) {
-    if (policy.allow_precision_fallback && cur_opts.precision.mixed()) {
-      // First remedy for a failed mixed attempt: same plan shape, full
-      // double arithmetic. Restoring precision is the cheapest hypothesis
-      // — structural rungs (reference plan, smoother, omega) come after.
-      cur_opts.precision = opt::PrecisionPolicy{};
-      ladder.push_back({cur, cur_opts, "mixed -> full double",
-                        RungKind::PrecisionFallback});
-    } else if (policy.allow_reference_plan &&
-               cur_opts.variant != opt::Variant::Naive) {
+    if (policy.allow_reference_plan &&
+        cur_opts.variant != opt::Variant::Naive) {
       cur_opts = opt::reference_options(cur_opts);
       ladder.push_back({cur, cur_opts, "reference plan",
                         RungKind::ReferencePlan});
@@ -101,7 +93,6 @@ const char* to_string(RungKind k) {
     case RungKind::OmegaBackoff: return "omega-backoff";
     case RungKind::CheckpointRollback: return "checkpoint-rollback";
     case RungKind::DeadlineStop: return "deadline-stop";
-    case RungKind::PrecisionFallback: return "precision-fallback";
   }
   return "?";
 }
@@ -128,11 +119,6 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
   auto& solver_degrades = obs::Metrics::instance().counter("solver.degrades");
   auto& solver_cycles = obs::Metrics::instance().counter("solver.cycles");
   auto& sdc_counter = obs::Metrics::instance().counter("resil.sdc_detected");
-  auto& prec_checks_ctr = obs::Metrics::instance().counter("precision.checks");
-  auto& prec_viol_ctr =
-      obs::Metrics::instance().counter("precision.violations");
-  auto& prec_fallbacks_ctr =
-      obs::Metrics::instance().counter("precision.fallbacks");
   const bool ckpt_on = policy.checkpoint_cadence > 0;
   // One pool for every snapshot generation of the solve: after the first
   // capture, checkpointing reuses its buffers — no malloc traffic between
@@ -228,49 +214,6 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
       const index_t v_doubles = static_cast<index_t>(p.v.size());
       double prev_r = attempt.first_residual;
 
-      // Mixed precision runs as defect correction: the iterate v stays
-      // double; each cycle feeds the (double-computed, once-rounded)
-      // residual to the cycle pipeline with a zero guess and absorbs the
-      // returned correction in double. Linear consistency of the cycle
-      // makes this converge at the double rate to the double tolerance —
-      // the float path only ever sees a correction, never the iterate.
-      const bool mixed_dc = rung.opts.precision.mixed();
-      attempt.mixed_precision = mixed_dc;
-      if (rung.kind == RungKind::PrecisionFallback) prec_fallbacks_ctr.add(1);
-      grid::View zv, rv;
-      std::optional<grid::Buffer> z64b, r64b;
-      std::optional<grid::BufferF32> z32b, r32b;
-      if (mixed_dc) {
-        // External storage dtypes come from the plan (a mixed request can
-        // still compile all-double, e.g. under time tiling); with no
-        // optimized plan every run is served by the double reference.
-        grid::DType edt0 = grid::DType::F64, edt1 = grid::DType::F64;
-        if (ex.has_optimized_plan()) {
-          edt0 = ex.plan().dtype_of_external(0);
-          edt1 = ex.plan().dtype_of_external(1);
-        }
-        if (edt0 == grid::DType::F32) {
-          z32b.emplace(grid::make_grid_f32(p.domain()));
-          zv = grid::View::over(z32b->data(), p.domain());
-        } else {
-          z64b.emplace(grid::make_grid(p.domain()));
-          zv = grid::View::over(z64b->data(), p.domain());
-        }
-        if (edt1 == grid::DType::F32) {
-          r32b.emplace(grid::make_grid_f32(p.domain()));
-          rv = grid::View::over(r32b->data(), p.domain());
-        } else {
-          r64b.emplace(grid::make_grid(p.domain()));
-          rv = grid::View::over(r64b->data(), p.domain());
-        }
-      }
-      // Double oracle: re-runs a checked cycle from the same pre-cycle
-      // iterate on a lazily compiled full-double executor.
-      std::optional<runtime::Executor> oracle;
-      std::optional<grid::Buffer> vprevb;
-      const int check_cadence =
-          mixed_dc ? policy.precision_check_cadence : 0;
-
       // Snapshot: iterate + monitor classification state + the residual
       // the SDC guard compares against. `next_cycle` is where execution
       // resumes after a rollback.
@@ -312,9 +255,6 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
 
       if (ckpt_on) capture(0);
       const std::vector<grid::View> ext = {p.v_view(), p.f_view()};
-      const std::vector<grid::View> mext =
-          mixed_dc ? std::vector<grid::View>{zv, rv}
-                   : std::vector<grid::View>{};
       int c = 0;
       while (c < policy.max_cycles) {
         // Between-cycle stop poll: cheap (two relaxed loads) and exact —
@@ -343,41 +283,14 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
           c = ckpt.next_cycle();
           continue;
         }
-        const bool check_this =
-            check_cadence > 0 && (c + 1) % check_cadence == 0;
-        if (mixed_dc) {
-          if (check_this) {
-            // Snapshot the pre-cycle iterate so the oracle replays the
-            // exact same step in full double.
-            if (!vprevb) vprevb.emplace(static_cast<std::size_t>(v_doubles));
-            std::memcpy(vprevb->data(), p.v.data(),
-                        static_cast<std::size_t>(v_doubles) * sizeof(double));
-          }
-          residual_field(p.v_view(), p.f_view(), p.n, p.h, rv);
-          if (fault::should_fail(fault::kPrecisionCorrupt)) {
-            // Corrupt the float path's input: one residual value blown
-            // far out of scale. Finite, so the non-finite health scan
-            // cannot see it — only the precision oracle can.
-            obs::Metrics::instance().counter("fault.precision_corrupt")
-                .add(1);
-            PMG_TRACE_INSTANT(FaultInjected, -1, c, /*site=*/5, 0.0);
-            std::array<index_t, poly::kMaxDims> mid{};
-            for (int d = 0; d < p.ndim; ++d) mid[d] = (p.n + 1) / 2;
-            rv.store_at(mid, rv.load_at(mid) * 1e8 + 1e4);
-          }
-          ex.run(mext);
-          grid::add_region(p.v_view(), ex.output_view(0), p.interior());
-        } else {
-          ex.run(ext);
-          grid::copy_region(p.v_view(), ex.output_view(0), p.domain());
-        }
+        ex.run(ext);
+        grid::copy_region(p.v_view(), ex.output_view(0), p.domain());
         const double r = residual_norm(p.v_view(), p.f_view(), p.n, p.h);
         ++attempt.cycles;
         ++report.total_cycles;
         solver_cycles.add(1);
         // Solver-side heartbeat: covers the between-run work (residual
-        // norms, checkpoints, oracle compiles) the executor's granule
-        // bumps cannot see.
+        // norms, checkpoints) the executor's granule bumps cannot see.
         if (policy.progress != nullptr) {
           policy.progress->fetch_add(1, std::memory_order_relaxed);
         }
@@ -395,45 +308,6 @@ SolveReport guarded_solve(const CycleConfig& cfg, PoissonProblem& p,
           if (rollback()) {
             c = ckpt.next_cycle();
             continue;
-          }
-        }
-        if (check_this) {
-          // Replay the cycle from the snapshotted iterate in full double
-          // and compare residual norms. Defect correction keeps the
-          // iterate and all norms double, so the mixed residual must
-          // track the oracle to within rounding; a relative excess means
-          // the float path is corrupt and this configuration is done.
-          if (!oracle) {
-            opt::CompileOptions od = rung.opts;
-            od.precision = opt::PrecisionPolicy{};
-            oracle.emplace(opt::compile(build_cycle(rung.cfg), od));
-            oracle->set_trace_request(policy.trace_request);
-            oracle->set_progress_sink(policy.progress);
-          }
-          const grid::View vprev = grid::View::over(vprevb->data(),
-                                                    p.domain());
-          const std::vector<grid::View> oext = {vprev, p.f_view()};
-          oracle->run(oext);
-          const double r_oracle =
-              residual_norm(oracle->output_view(0), p.f_view(), p.n, p.h);
-          ++attempt.precision_checks;
-          ++report.precision_checks;
-          prec_checks_ctr.add(1);
-          const bool violated =
-              std::isfinite(r_oracle) &&
-              (!std::isfinite(r) ||
-               r > (1.0 + policy.precision_tolerance) * r_oracle +
-                       policy.rel_tol_floor);
-          PMG_TRACE_INSTANT(PrecisionCheck, c, -1, violated ? 1 : 0, r);
-          if (violated) {
-            ++attempt.precision_violations;
-            ++report.precision_violations;
-            prec_viol_ctr.add(1);
-            push_bounded(report.residual_history, r, policy.history_limit,
-                         report.history_dropped);
-            attempt.last_residual = r;
-            attempt.trend = health::Trend::Diverging;
-            break;  // the ladder's PrecisionFallback rung takes over
           }
         }
         push_bounded(report.residual_history, r, policy.history_limit,
@@ -517,11 +391,6 @@ void attach_convergence(const SolveReport& sr, obs::RunReport& rr) {
       if (a.crashes > 0) os << " (" << a.crashes << " crash)";
       if (a.sdc_detected > 0) os << " (" << a.sdc_detected << " SDC)";
     }
-    if (a.mixed_precision) {
-      os << ", mixed precision (" << a.precision_checks
-         << " oracle check(s), " << a.precision_violations
-         << " violation(s))";
-    }
     rr.attempt_lines.push_back(os.str());
   }
 }
@@ -539,10 +408,6 @@ std::string SolveReport::summary() const {
        << checkpoint_restores << " restore(s)";
   }
   if (sdc_detected > 0) os << ", " << sdc_detected << " SDC detected";
-  if (precision_checks > 0 || precision_violations > 0) {
-    os << ", " << precision_checks << " precision check(s), "
-       << precision_violations << " violation(s)";
-  }
   if (history_dropped > 0) {
     os << ", history ring dropped " << history_dropped << " oldest";
   }
@@ -563,10 +428,6 @@ std::string SolveReport::summary() const {
         os << ", " << a.rollbacks << " rollback(s)";
         if (a.crashes > 0) os << " [" << a.crashes << " crash]";
         if (a.sdc_detected > 0) os << " [" << a.sdc_detected << " SDC]";
-      }
-      if (a.mixed_precision) {
-        os << ", mixed [" << a.precision_checks << " check(s), "
-           << a.precision_violations << " violation(s)]";
       }
     }
     os << "\n";

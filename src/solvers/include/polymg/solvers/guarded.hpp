@@ -58,26 +58,10 @@ struct GuardPolicy {
   int stagnation_window = 4;
 
   // Which ladder rungs are allowed.
-  bool allow_precision_fallback = true;  ///< mixed precision -> full double
   bool allow_reference_plan = true;      ///< drop to unfused/unpooled plan
   bool allow_smoother_downgrade = true;  ///< Chebyshev/GSRB -> Jacobi
   bool allow_omega_reduction = true;     ///< omega *= omega_backoff
   double omega_backoff = 0.5;
-
-  // Mixed-precision oracle (only consulted when the solve's
-  // CompileOptions request a mixed plan). Every `precision_check_cadence`
-  // cycles the solve re-runs the just-completed cycle on a lazily built
-  // full-double executor from the same pre-cycle iterate and compares
-  // residual norms: the defect-correction outer loop keeps the iterate
-  // and every norm in double, so the mixed residual must track the
-  // double one to within rounding — a relative excess beyond
-  // `precision_tolerance` means the float path is corrupt (or the
-  // problem genuinely exceeds float dynamic range) and the attempt ends
-  // with a precision violation; the ladder's PrecisionFallback rung then
-  // rebuilds the same configuration in full double. 0 disables the
-  // oracle (benchmarks pay for it explicitly, not by default).
-  int precision_check_cadence = 4;
-  double precision_tolerance = 0.5;
 
   // Resilience: checkpoint/rollback (DESIGN.md §9). With a cadence > 0
   // the iterate, cycle index and monitor state are snapshotted into
@@ -130,8 +114,8 @@ struct GuardPolicy {
   /// tile/stage spans under the submitting service request.
   std::int32_t trace_request = -1;
   /// Optional heartbeat (non-owning, must outlive the call): attached as
-  /// the progress sink of every attempt's executor and of the precision
-  /// oracle, and bumped once per completed cycle for the solver-side work
+  /// the progress sink of every attempt's executor, and bumped once per
+  /// completed cycle for the solver-side work
   /// between runs (residual norms, checkpoints). The service watchdog
   /// samples it — a frozen value while a solve is in flight means the
   /// worker has stalled.
@@ -155,12 +139,6 @@ enum class RungKind : int {
   /// or it was cancelled. Recorded on the attempt that was interrupted;
   /// the ladder is never walked past it.
   DeadlineStop = 5,
-  /// Mixed-precision solve rebuilt in full double — the first remedy
-  /// whenever the as-configured rung ran mixed (a precision-oracle
-  /// violation or any other failure of a mixed attempt lands here before
-  /// the structural rungs, since restoring double arithmetic is the
-  /// cheapest hypothesis to test).
-  PrecisionFallback = 6,
 };
 const char* to_string(RungKind k);
 
@@ -179,9 +157,6 @@ struct SolveAttempt {
   int rollbacks = 0;              ///< checkpoint restores in this attempt
   int sdc_detected = 0;           ///< rollbacks triggered by the SDC guard
   int crashes = 0;                ///< injected crashes survived via restore
-  bool mixed_precision = false;   ///< ran the mixed defect-correction loop
-  int precision_checks = 0;       ///< double-oracle comparisons performed
-  int precision_violations = 0;   ///< oracle excesses (ends the attempt)
 };
 
 /// Full account of a guarded solve.
@@ -208,8 +183,6 @@ struct SolveReport {
   int checkpoint_writes = 0;    ///< snapshots committed across the solve
   int checkpoint_restores = 0;  ///< rollbacks served across the solve
   int sdc_detected = 0;         ///< SDC-guard firings across the solve
-  int precision_checks = 0;      ///< double-oracle comparisons, all attempts
-  int precision_violations = 0;  ///< oracle violations, all attempts
   /// Multi-line human-readable account of the ladder walk.
   std::string summary() const;
 };

@@ -12,15 +12,6 @@ using poly::index_t;
 /// over the interior [1, n]^d of (n+2)^d views.
 double residual_norm(View v, View f, index_t n, double h);
 
-/// Write the residual field r = f - A v (same operator as residual_norm)
-/// over the interior [1, n]^d into `out`. Arithmetic is double; `out` may
-/// be an F32 view, in which case each point rounds exactly once on store
-/// — this is how the mixed-precision defect-correction loop builds the
-/// float right-hand side its float cycle consumes. Ghost points of `out`
-/// are left untouched (keep them zero: the cycle's restriction reads
-/// only the interior, and zero matches the homogeneous boundary).
-void residual_field(View v, View f, index_t n, double h, View out);
-
 /// Max-norm error against a reference solution over the interior.
 double error_norm(View v, View exact, index_t n);
 

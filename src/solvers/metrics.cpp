@@ -1,6 +1,5 @@
 #include "polymg/solvers/metrics.hpp"
 
-#include <array>
 #include <cmath>
 #include <limits>
 
@@ -70,60 +69,6 @@ double residual_norm(View v, View f, index_t n, double h) {
   // a quiet NaN so callers get one canonical not-a-norm value.
   if (!std::isfinite(sum)) return std::numeric_limits<double>::quiet_NaN();
   return std::sqrt(sum);
-}
-
-void residual_field(View v, View f, index_t n, double h, View out) {
-  const double inv_h2 = 1.0 / (h * h);
-  if (v.ndim == 2) {
-    auto row = [&](index_t i) {
-      std::array<index_t, poly::kMaxDims> q{i, 0, 0};
-      for (index_t j = 1; j <= n; ++j) {
-        const double av = inv_h2 * (4.0 * v.at2(i, j) - v.at2(i - 1, j) -
-                                    v.at2(i + 1, j) - v.at2(i, j - 1) -
-                                    v.at2(i, j + 1));
-        q[1] = j;
-        out.store_at(q, f.at2(i, j) - av);
-      }
-    };
-    if (n * n >= kForkGrain && !in_parallel()) {
-      note_parallel_region();
-#pragma omp parallel for schedule(static)
-      for (index_t i = 1; i <= n; ++i) {
-        row(i);
-        tsan_join_release();
-      }
-      tsan_join_acquire();
-    } else {
-      for (index_t i = 1; i <= n; ++i) row(i);
-    }
-  } else {
-    auto plane = [&](index_t i) {
-      std::array<index_t, poly::kMaxDims> q{i, 0, 0};
-      for (index_t j = 1; j <= n; ++j) {
-        q[1] = j;
-        for (index_t k = 1; k <= n; ++k) {
-          const double av =
-              inv_h2 * (6.0 * v.at3(i, j, k) - v.at3(i - 1, j, k) -
-                        v.at3(i + 1, j, k) - v.at3(i, j - 1, k) -
-                        v.at3(i, j + 1, k) - v.at3(i, j, k - 1) -
-                        v.at3(i, j, k + 1));
-          q[2] = k;
-          out.store_at(q, f.at3(i, j, k) - av);
-        }
-      }
-    };
-    if (n * n * n >= kForkGrain && !in_parallel()) {
-      note_parallel_region();
-#pragma omp parallel for schedule(static)
-      for (index_t i = 1; i <= n; ++i) {
-        plane(i);
-        tsan_join_release();
-      }
-      tsan_join_acquire();
-    } else {
-      for (index_t i = 1; i <= n; ++i) plane(i);
-    }
-  }
 }
 
 double error_norm(View v, View exact, index_t n) {

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "polymg/common/parallel.hpp"
@@ -48,42 +47,27 @@ TEST(Ops, CopyAndDiff) {
 
 // ---------------------------------------------------------------------
 // The parallel row walker: regions above kForkGrain, at 1/2/4 threads,
-// against the point-wise reference semantics (load promotes to double,
-// store rounds once).
+// against the point-wise reference semantics.
 // ---------------------------------------------------------------------
 
-/// A buffer of either dtype over `dom`, every element set from a hash of
-/// its flat index and `salt` (distinct, non-round values).
+/// A buffer over `dom`, every element set from a hash of its flat index
+/// and `salt` (distinct, non-round values).
 struct Field {
-  Box dom;
-  std::optional<Buffer> f64;
-  std::optional<BufferF32> f32;
+  Buffer buf;
   View v;
 
-  Field(const Box& d, DType t, double salt) : dom(d) {
-    const auto n = static_cast<std::size_t>(d.count());
-    if (t == DType::F64) {
-      f64.emplace(n);
-      v = View::over(f64->data(), d);
-    } else {
-      f32.emplace(n);
-      v = View::over(f32->data(), d);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      v.store(static_cast<index_t>(i),
-              1e3 * std::sin(0.37 * static_cast<double>(i) + salt) / 7.0);
+  Field(const Box& dom, double salt)
+      : buf(static_cast<std::size_t>(dom.count())),
+        v(View::over(buf.data(), dom)) {
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = 1e3 * std::sin(0.37 * static_cast<double>(i) + salt) / 7.0;
     }
   }
 
-  std::size_t bytes() const {
-    return f64 ? f64->size() * sizeof(double) : f32->size() * sizeof(float);
-  }
-  const void* data() const {
-    return f64 ? static_cast<const void*>(f64->data())
-               : static_cast<const void*>(f32->data());
-  }
   bool same_bits(const Field& o) const {
-    return bytes() == o.bytes() && std::memcmp(data(), o.data(), bytes()) == 0;
+    return buf.size() == o.buf.size() &&
+           std::memcmp(buf.data(), o.buf.data(),
+                       buf.size() * sizeof(double)) == 0;
   }
 };
 
@@ -126,40 +110,23 @@ protected:
   int prev_ = 1;
 };
 
-TEST_P(ThreadCounts, CopyAndAddMatchPointwiseReference) {
-  const DType kinds[][2] = {{DType::F64, DType::F64},
-                            {DType::F64, DType::F32},
-                            {DType::F32, DType::F64}};
+TEST_P(ThreadCounts, CopyMatchesPointwiseReference) {
   for (const BigCase& c : big_cases()) {
     ASSERT_GE(c.region.count(), kForkGrain);
-    for (const auto& k : kinds) {
-      const DType dt = k[1], st = k[0];  // {src, dst}
-      const Field src(c.src_dom, st, 0.5);
-      Field got(c.dst_dom, dt, 1.5), want(c.dst_dom, dt, 1.5);
-      copy_region(got.v, src.v, c.region);
-      for_each_point_ref(c.region, [&](const std::array<index_t, 3>& p) {
-        want.v.store_at(p, src.v.load_at(p));
-      });
-      EXPECT_TRUE(got.same_bits(want))
-          << "copy ndim " << c.region.ndim() << " " << to_string(st) << "->"
-          << to_string(dt);
-
-      Field got_add(c.dst_dom, dt, 2.5), want_add(c.dst_dom, dt, 2.5);
-      add_region(got_add.v, src.v, c.region);
-      for_each_point_ref(c.region, [&](const std::array<index_t, 3>& p) {
-        want_add.v.store_at(p, want_add.v.load_at(p) + src.v.load_at(p));
-      });
-      EXPECT_TRUE(got_add.same_bits(want_add))
-          << "add ndim " << c.region.ndim() << " " << to_string(st) << "->"
-          << to_string(dt);
-    }
+    const Field src(c.src_dom, 0.5);
+    Field got(c.dst_dom, 1.5), want(c.dst_dom, 1.5);
+    copy_region(got.v, src.v, c.region);
+    for_each_point_ref(c.region, [&](const std::array<index_t, 3>& p) {
+      want.v.at(p) = src.v.at(p);
+    });
+    EXPECT_TRUE(got.same_bits(want)) << "copy ndim " << c.region.ndim();
   }
 }
 
 TEST_P(ThreadCounts, MaximaPropagateNaNFromLastRows) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const BigCase& c : big_cases()) {
-    Field a(c.dst_dom, DType::F64, 0.25), b(c.dst_dom, DType::F64, 0.25);
+    Field a(c.dst_dom, 0.25), b(c.dst_dom, 0.25);
     // A large value in the region's first point (thread 0's rows) would
     // win any max that drops the NaN; the NaN sits at the region's last
     // point, in the last thread's rows.
@@ -168,11 +135,11 @@ TEST_P(ThreadCounts, MaximaPropagateNaNFromLastRows) {
       first[d] = c.region.dim(d).lo;
       last[d] = c.region.dim(d).hi;
     }
-    a.v.store_at(first, 1e30);
+    a.v.at(first) = 1e30;
     EXPECT_EQ(max_norm(a.v, c.region), 1e30);
     EXPECT_EQ(max_diff(a.v, b.v, c.region),
-              std::abs(1e30 - b.v.load_at(first)));
-    a.v.store_at(last, nan);
+              std::abs(1e30 - b.v.at(first)));
+    a.v.at(last) = nan;
     EXPECT_TRUE(std::isnan(max_norm(a.v, c.region)));
     EXPECT_TRUE(std::isnan(max_diff(a.v, b.v, c.region)));
     EXPECT_TRUE(std::isnan(max_diff(b.v, a.v, c.region)));
@@ -182,31 +149,25 @@ TEST_P(ThreadCounts, MaximaPropagateNaNFromLastRows) {
 TEST_P(ThreadCounts, CloneAboveGrainIsBitExact) {
   const std::size_t n = static_cast<std::size_t>(3 * kForkGrain + 17);
   Buffer a(n);
-  BufferF32 f(n);
   for (std::size_t i = 0; i < n; ++i) {
     a[i] = std::cos(static_cast<double>(i)) * 1e-3;
-    f[i] = static_cast<float>(a[i]);
   }
   const Buffer ac = a.clone();
-  const BufferF32 fc = f.clone();
   ASSERT_EQ(ac.size(), n);
-  ASSERT_EQ(fc.size(), n);
   EXPECT_EQ(0, std::memcmp(a.data(), ac.data(), n * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(f.data(), fc.data(), n * sizeof(float)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, ThreadCounts, ::testing::Values(1, 2, 4));
 
 TEST(Ops, ForkRuleOpensOneRegionOnlyWhereAllowed) {
   const BigCase c = big_cases()[0];
-  Field src(c.src_dom, DType::F64, 0.5), dst(c.dst_dom, DType::F64, 1.5);
+  Field src(c.src_dom, 0.5), dst(c.dst_dom, 1.5);
   const auto regions = [](auto&& fn) {
     const std::uint64_t before = parallel_regions_entered();
     fn();
     return parallel_regions_entered() - before;
   };
   EXPECT_EQ(regions([&] { copy_region(dst.v, src.v, c.region); }), 1u);
-  EXPECT_EQ(regions([&] { add_region(dst.v, src.v, c.region); }), 1u);
   EXPECT_EQ(regions([&] { max_norm(dst.v, c.region); }), 1u);
   EXPECT_EQ(regions([&] { max_diff(dst.v, src.v, c.region); }), 1u);
   // Serial by contract: executor-internal copies, summation order,

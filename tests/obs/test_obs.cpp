@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -190,6 +192,33 @@ TEST_F(ObsTest, RingWrapsByDroppingOldest) {
   for (std::size_t i = 0; i < evs.size(); ++i) {
     EXPECT_EQ(evs[i].id, 12 + static_cast<int>(i));
   }
+}
+
+TEST_F(ObsTest, PlainThreadsRecordIntoTheirOwnRings) {
+  // Threads outside any OpenMP team (service workers, the supervisor)
+  // each take their own ring slot, so no two writers share a ring.
+  constexpr int kThreads = 4;
+  constexpr int kEvents = 1000;
+  TraceSession::start();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kEvents; ++i) {
+        trace_instant(EventKind::Residual, -1, -1, t, 0.0);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  TraceSession::stop();
+  const std::vector<TraceEvent> evs = TraceSession::snapshot();
+  EXPECT_EQ(evs.size(), static_cast<std::size_t>(kThreads * kEvents));
+  std::map<int, std::set<int>> ids_by_tid;
+  for (const TraceEvent& e : evs) ids_by_tid[e.tid].insert(e.id);
+  EXPECT_EQ(ids_by_tid.size(), static_cast<std::size_t>(kThreads));
+  for (const auto& [tid, ids] : ids_by_tid) {
+    EXPECT_EQ(ids.size(), 1u) << "ring " << tid << " holds several writers";
+  }
+  EXPECT_EQ(TraceSession::dropped(), 0u);
 }
 
 TEST_F(ObsTest, RestartDiscardsPriorSession) {

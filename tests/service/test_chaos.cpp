@@ -182,7 +182,7 @@ TEST_F(ChaosSweep, ChaosLiteCorruptionSites) {
 TEST_F(ChaosSweep, AllSitesTerminateAndServiceAnswers) {
   const std::vector<std::string> sites =
       fault::FaultInjector::list_sites();
-  ASSERT_GE(sites.size(), 15u);
+  ASSERT_GE(sites.size(), 14u);
   for (const std::string& site : sites) {
     run_site(site, /*count=*/2, /*burst=*/2);
     if (::testing::Test::HasFatalFailure()) return;
@@ -192,7 +192,7 @@ TEST_F(ChaosSweep, AllSitesTerminateAndServiceAnswers) {
 // Supervision activity is observable: a stall round under a trace
 // session leaves StallDetected / WorkerLost events for the post-mortem.
 TEST_F(ChaosSweep, SupervisionEventsAreTraced) {
-  // Tracing's per-thread rings are single-writer: run one worker.
+  // One worker keeps the post-mortem trace small.
   ServiceConfig cfg = chaos_config();
   cfg.workers = 1;
   obs::TraceSession::start();

@@ -416,8 +416,7 @@ TEST_F(ServiceTest, RequestSpansCarryTheTicketThroughTheExecutor) {
 #if defined(POLYMG_TRACE_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (POLYMG_TRACING=OFF)";
 #endif
-  // One worker: traced sessions are documented single-worker (per-thread
-  // rings are single-writer per OMP slot).
+  // One worker keeps the trace to a single request's spans.
   ServiceConfig cfg;
   cfg.workers = 1;
   SolveService svc(cfg);

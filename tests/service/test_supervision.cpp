@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -172,6 +173,22 @@ TEST_F(SupervisionTest, UncooperativeStallLosesWorkerAndReplaces) {
   // The killed zombie exits at its next poll: shutdown must not leak.
   svc.shutdown();
   EXPECT_EQ(svc.leaked_workers(), 0);
+}
+
+// A lost worker must not outlive the service it touches: destroying the
+// service right after the WorkerLost result joins the zombie, which
+// exits at its next 1 ms kill poll, instead of leaving it to wake inside
+// a destroyed service.
+TEST_F(SupervisionTest, DestroyAfterWorkerLostJoinsTheLostThread) {
+  fault::ScopedFault stall(fault::kSolveStall, 1);
+  auto svc = std::make_unique<SolveService>(
+      watched_config(/*stall_timeout_ms=*/20.0, /*stall_fault_ms=*/60000.0));
+  const auto adm = svc->submit(make_req(small2d(), "t"));
+  ASSERT_TRUE(adm.admitted);
+  EXPECT_EQ(svc->wait(adm.ticket).status, ErrorCode::WorkerLost);
+  svc->shutdown();
+  EXPECT_EQ(svc->leaked_workers(), 0);
+  svc.reset();
 }
 
 // Supervision statuses land in the tenant roll-up and the stalled

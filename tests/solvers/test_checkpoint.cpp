@@ -56,7 +56,7 @@ TEST_F(CheckpointTest, RoundTripIsBitExact) {
   EXPECT_DOUBLE_EQ(ckpt.meta(5), 42.0);
 }
 
-TEST_F(CheckpointTest, RecaptureReusesSlotBuffersWithoutAllocating) {
+TEST_F(CheckpointTest, RecaptureReusesSlotStorageWithoutAllocating) {
   runtime::MemoryPool pool;
   Checkpoint ckpt(pool);
   std::vector<double> a = ramp(512, 1.0);
