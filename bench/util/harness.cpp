@@ -12,7 +12,6 @@
 #include "polymg/obs/metrics.hpp"
 #include "polymg/obs/report.hpp"
 #include "polymg/obs/trace.hpp"
-#include "polymg/solvers/metrics.hpp"
 
 namespace polymg::bench {
 
