@@ -1,6 +1,7 @@
 #include "polymg/codegen/emit_c.hpp"
 
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "polymg/codegen/jit.hpp"
@@ -152,6 +153,34 @@ void emit_stage_loops(std::ostringstream& os, const CompiledPipeline& plan,
   }
 }
 
+/// `c + step*var` as C, dropping a zero constant.
+std::string affine(index_t c, index_t step, const std::string& var) {
+  std::ostringstream os;
+  if (c != 0) os << c << " + ";
+  os << step << "*" << var;
+  return os.str();
+}
+
+/// Anchor tile bounds of dimension `d` as C expressions of T_d, the
+/// partition poly::TileGrid::tile_box computes: tiles step through the
+/// interior, the first starts at the domain's lo and the last ends at
+/// its hi.
+std::pair<std::string, std::string> tile_bounds(const poly::TileGrid& t,
+                                                int d) {
+  const poly::Interval dom = t.domain.dim(d);
+  if (t.ntiles[d] == 1) {
+    return {std::to_string(dom.lo), std::to_string(dom.hi)};
+  }
+  const std::string T = "T_" + std::to_string(d);
+  const index_t in_lo = t.interior.dim(d).lo;
+  const index_t size = t.sizes[d];
+  return {"(" + T + " == 0 ? " + std::to_string(dom.lo) + " : " +
+              affine(in_lo, size, T) + ")",
+          "(" + T + " == " + std::to_string(t.ntiles[d] - 1) + " ? " +
+              std::to_string(dom.hi) + " : " +
+              affine(in_lo + size - 1, size, T) + ")"};
+}
+
 }  // namespace
 
 std::string emit_c(const CompiledPipeline& plan, const std::string& name) {
@@ -198,9 +227,15 @@ std::string emit_c(const CompiledPipeline& plan, const std::string& name) {
         break;
       }
       case GroupExec::OverlapTiled: {
-        os << "#pragma omp parallel for schedule(static)";
-        if (g.collapse_depth > 1) os << " collapse(" << g.collapse_depth << ")";
-        os << "\n";
+        if (g.parallel_chunks() == 1) {
+          os << "  /* one tile chunk: runs on the calling thread */\n";
+        } else {
+          os << "#pragma omp parallel for schedule(static)";
+          if (g.collapse_depth > 1) {
+            os << " collapse(" << g.collapse_depth << ")";
+          }
+          os << "\n";
+        }
         std::string pad = "  ";
         for (int d = 0; d < ndim; ++d) {
           os << pad << "for (int T_" << d << " = 0; T_" << d << " < "
@@ -225,11 +260,11 @@ std::string emit_c(const CompiledPipeline& plan, const std::string& name) {
           const FunctionDecl& f = plan.pipe.funcs[sp.func];
           os << pad << "/* " << f.name << " */\n";
           for (int d = 0; d < ndim; ++d) {
-            os << pad << "int lb_" << d << " = " << g.tiles.sizes[d] << "*T_"
-               << d << " - overlap_" << gi << "_" << d << ";\n";
-            os << pad << "int ub_" << d << " = " << g.tiles.sizes[d]
-               << "*(T_" << d << "+1) - 1 + overlap_" << gi << "_" << d
-               << ";\n";
+            const auto [lb, ub] = tile_bounds(g.tiles, d);
+            os << pad << "int lb_" << d << " = " << lb << " - overlap_" << gi
+               << "_" << d << ";\n";
+            os << pad << "int ub_" << d << " = " << ub << " + overlap_" << gi
+               << "_" << d << ";\n";
           }
           const std::string dst =
               sp.scratch_buffer >= 0

@@ -42,6 +42,13 @@ struct RunReport {
   struct TimeRow {
     std::string label;
     double seconds = 0.0;
+    /// Group rows: how the last run dealt the group out — `chunks`
+    /// granules (`unit`: tile, slab or block) over a team of `threads`,
+    /// or 0 threads when it ran inline on the calling thread and opened
+    /// no parallel region. chunks == 0 renders nothing (stage rows).
+    std::int64_t chunks = 0;
+    int threads = 0;
+    std::string unit;
   };
   std::vector<TimeRow> groups;  ///< per-group attribution, plan order
   std::vector<TimeRow> stages;  ///< per-stage attribution, pipeline order

@@ -74,10 +74,19 @@ std::string RunReport::render() const {
     os << "time by group (" << runs << " run(s), "
        << static_cast<int>(total * 1e3) << " ms total):\n";
     for (const TimeRow& r : groups) {
-      std::snprintf(line, sizeof(line), "  %-40s %10.3f ms %6.1f%%\n",
+      std::snprintf(line, sizeof(line), "  %-40s %10.3f ms %6.1f%%",
                     r.label.c_str(), r.seconds * 1e3,
                     total > 0 ? 100.0 * r.seconds / total : 0.0);
       os << line;
+      if (r.chunks > 0) {
+        os << "  " << r.chunks << " " << r.unit << (r.chunks == 1 ? "" : "s");
+        if (r.threads == 0) {
+          os << ", inline";
+        } else {
+          os << " / " << r.threads << (r.threads == 1 ? " thread" : " threads");
+        }
+      }
+      os << "\n";
     }
   }
   if (!stages.empty()) {

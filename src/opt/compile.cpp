@@ -131,7 +131,7 @@ CompiledPipeline compile(Pipeline pipe, const CompileOptions& opts) {
 
     if (gp.exec == GroupExec::OverlapTiled) {
       const ir::FunctionDecl& anchor = pipe.funcs[gp.stages[gp.anchor].func];
-      gp.tiles = poly::make_tile_grid(anchor.domain, tile);
+      gp.tiles = poly::make_tile_grid(anchor.domain, anchor.interior, tile);
       gp.collapse_depth = opts.collapse ? pipe.ndim : 1;
     }
   }

@@ -59,7 +59,8 @@ struct GroupPlan {
   GroupExec exec = GroupExec::Loops;
   std::vector<StagePlan> stages;  ///< in schedule order
   int anchor = -1;                ///< position of the anchor stage
-  poly::TileGrid tiles;           ///< partition of the anchor domain
+  /// Partition of the anchor domain, stepping through its interior.
+  poly::TileGrid tiles;
   int collapse_depth = 1;         ///< perfect parallel tile-loop depth
   std::vector<poly::index_t> scratch_sizes;  ///< doubles per scratchpad id
   poly::index_t scratch_doubles_total = 0;
@@ -69,6 +70,13 @@ struct GroupPlan {
   /// executor indexes this instead of re-deriving regions per tile;
   /// validate_plan rejects a cache that disagrees with a recomputation.
   std::vector<Box> tile_regions_cache;
+
+  /// Chunks the parallel tile loop deals out (OverlapTiled only): every
+  /// tile under collapse(d), else the outermost tile rows. A group of one
+  /// chunk runs on the calling thread.
+  poly::index_t parallel_chunks() const {
+    return collapse_depth > 1 ? tiles.total : tiles.ntiles[0];
+  }
 
   // TimeTiled only:
   poly::index_t dtile_H = 0;  ///< time-block height
@@ -132,7 +140,9 @@ struct GroupAnalysis {
   std::vector<RelScale> rel;
   std::vector<std::vector<std::pair<int, int>>> in_group_consumers;
   std::vector<bool> liveout;
-  std::vector<std::array<poly::index_t, 3>> extent;  ///< tile extents
+  /// Per-stage extent bounds for the group's widest tile (an edge tile,
+  /// which also takes the anchor's ghost layers): scratchpad sizes.
+  std::vector<std::array<poly::index_t, 3>> extent;
   double max_redundancy = 0.0;
 };
 

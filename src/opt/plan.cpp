@@ -95,43 +95,60 @@ GroupAnalysis analyze_group(
     }
   }
 
-  // Per-stage tile extent bounds (scratchpad sizing) and the redundancy
-  // ratio against each stage's fair share.
+  // Per-stage tile extent bounds: walk the in-group consumers backwards
+  // from an anchor tile extent, growing each producer's bound through
+  // its consumers' footprints (and its owned slice when it is a
+  // live-out), clamped to the producer's domain.
   const ir::FunctionDecl& anchor = pipe.funcs[ga.order[n - 1]];
-  ga.extent.assign(n, {});
+  using Extent = std::array<poly::index_t, 3>;
+  const auto extents_for = [&](const Extent& anchor_ext) {
+    std::vector<Extent> ext(n, Extent{});
+    ext[n - 1] = anchor_ext;
+    for (int p = n - 2; p >= 0; --p) {
+      const ir::FunctionDecl& pf = pipe.funcs[ga.order[p]];
+      for (const auto& [cpos, slot] : ga.in_group_consumers[p]) {
+        const ir::FunctionDecl& cf = pipe.funcs[ga.order[cpos]];
+        const poly::Access& acc = cf.access_for(slot);
+        for (int d = 0; d < ndim; ++d) {
+          ext[p][d] = std::max(
+              ext[p][d], poly::footprint_extent_bound(acc.d[d], ext[cpos][d]));
+        }
+      }
+      if (ga.liveout[p]) {
+        for (int d = 0; d < ndim; ++d) {
+          const poly::DimAccess own{ga.rel[p].num[d], ga.rel[p].den[d], 0, 0};
+          ext[p][d] = std::max(
+              ext[p][d], poly::footprint_extent_bound(own, anchor_ext[d]) + 1);
+        }
+      }
+      for (int d = 0; d < ndim; ++d) {
+        ext[p][d] = std::min(ext[p][d], pf.domain.dim(d).size());
+      }
+    }
+    return ext;
+  };
+  // Tiles step through the anchor's interior (poly::make_tile_grid), so
+  // an inner tile spans `tile` points and an edge tile adds the ghost
+  // layers on its side. Scratchpads are sized for the widest tile; the
+  // redundancy ratio judges the inner tile against each stage's fair
+  // share.
+  Extent inner{};
+  Extent widest{};
   for (int d = 0; d < ndim; ++d) {
-    ga.extent[n - 1][d] =
-        std::min<poly::index_t>(tile[d], anchor.domain.dim(d).size());
+    const poly::Interval dom = anchor.domain.dim(d);
+    const poly::Interval in = anchor.interior.dim(d);
+    inner[d] = std::min<poly::index_t>(tile[d], dom.size());
+    widest[d] = std::min<poly::index_t>(
+        tile[d] + (in.lo - dom.lo) + (dom.hi - in.hi), dom.size());
   }
+  ga.extent = extents_for(widest);
+  const std::vector<Extent> inner_ext = extents_for(inner);
   for (int p = n - 2; p >= 0; --p) {
-    const ir::FunctionDecl& pf = pipe.funcs[ga.order[p]];
-    std::array<poly::index_t, 3> ext{};
-    for (const auto& [cpos, slot] : ga.in_group_consumers[p]) {
-      const ir::FunctionDecl& cf = pipe.funcs[ga.order[cpos]];
-      const poly::Access& acc = cf.access_for(slot);
-      for (int d = 0; d < ndim; ++d) {
-        ext[d] = std::max(
-            ext[d], poly::footprint_extent_bound(acc.d[d], ga.extent[cpos][d]));
-      }
-    }
-    if (ga.liveout[p]) {
-      for (int d = 0; d < ndim; ++d) {
-        const poly::DimAccess own{ga.rel[p].num[d], ga.rel[p].den[d], 0, 0};
-        ext[d] = std::max(
-            ext[d],
-            poly::footprint_extent_bound(own, ga.extent[n - 1][d]) + 1);
-      }
-    }
-    for (int d = 0; d < ndim; ++d) {
-      ext[d] = std::min(ext[d], pf.domain.dim(d).size());
-    }
-    ga.extent[p] = ext;
-
     for (int d = 0; d < ndim; ++d) {
       const poly::DimAccess own{ga.rel[p].num[d], ga.rel[p].den[d], 0, 0};
       const double fair = static_cast<double>(
-          poly::footprint_extent_bound(own, ga.extent[n - 1][d]));
-      const double red = (static_cast<double>(ext[d]) - fair) / fair;
+          poly::footprint_extent_bound(own, inner[d]));
+      const double red = (static_cast<double>(inner_ext[p][d]) - fair) / fair;
       ga.max_redundancy = std::max(ga.max_redundancy, red);
     }
   }

@@ -14,20 +14,32 @@ Box TileGrid::tile_box(index_t t) const {
     rem /= ntiles[d];
   }
   for (int d = 0; d < domain.ndim(); ++d) {
-    const index_t lo = domain.dim(d).lo + coord[d] * sizes[d];
-    const index_t hi = std::min(lo + sizes[d] - 1, domain.dim(d).hi);
+    const index_t step_lo = interior.dim(d).lo + coord[d] * sizes[d];
+    const index_t lo = coord[d] == 0 ? domain.dim(d).lo : step_lo;
+    const index_t hi = coord[d] == ntiles[d] - 1 ? domain.dim(d).hi
+                                                  : step_lo + sizes[d] - 1;
     b.dim(d) = Interval{lo, hi};
   }
   return b;
 }
 
 TileGrid make_tile_grid(const Box& domain, const TileSizes& sizes) {
+  return make_tile_grid(domain, domain, sizes);
+}
+
+TileGrid make_tile_grid(const Box& domain, const Box& interior,
+                        const TileSizes& sizes) {
   PMG_CHECK(!domain.empty(), "cannot tile an empty domain");
+  PMG_CHECK(interior.ndim() == domain.ndim() && !interior.empty() &&
+                domain.contains(interior),
+            "tile interior " << interior << " is not a non-empty sub-box of "
+                             << domain);
   TileGrid g;
   g.domain = domain;
+  g.interior = interior;
   g.total = 1;
   for (int d = 0; d < domain.ndim(); ++d) {
-    const index_t extent = domain.dim(d).size();
+    const index_t extent = interior.dim(d).size();
     const index_t sz = sizes[d] > 0 ? std::min(sizes[d], extent) : extent;
     g.sizes[d] = sz;
     g.ntiles[d] = ceildiv(extent, sz);

@@ -24,12 +24,6 @@ using opt::StagePlan;
 
 namespace {
 
-/// Chunks an overlap group's parallel tile loop deals out: every tile
-/// under collapse(d), else the outermost tile rows.
-index_t parallel_chunks(const GroupPlan& g) {
-  return g.collapse_depth > 1 ? g.tiles.total : g.tiles.ntiles[0];
-}
-
 /// Threads the plan's widest group can keep busy. Loops stages above the
 /// serial grain and time-tiled sweeps split as finely as any team does;
 /// an overlap group is as wide as its tile chunks.
@@ -39,7 +33,7 @@ int parallel_width(const opt::CompiledPipeline& plan) {
   for (const GroupPlan& g : plan.groups) {
     switch (g.exec) {
       case GroupExec::OverlapTiled:
-        width = std::max(width, parallel_chunks(g));
+        width = std::max(width, g.parallel_chunks());
         break;
       case GroupExec::TimeTiled:
         return kAnyTeam;
@@ -76,6 +70,7 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
   ctr_regions_cached_ = &m.counter("executor.tile_regions_cached");
   ctr_regions_recomputed_ = &m.counter("executor.tile_regions_recomputed");
   ctr_aborted_runs_ = &m.counter("executor.aborted_runs");
+  ctr_inline_groups_ = &m.counter("executor.inline_groups");
   // Per-group latency histograms, keyed by group index: executors built
   // from the same plan shape (the service's cached plans) merge into one
   // distribution per kernel stage.
@@ -170,6 +165,7 @@ Executor::Executor(opt::CompiledPipeline plan) : plan_(std::move(plan)) {
   stage_srcs_.reserve(max_sources);
 
   group_seconds_.assign(ngroups, 0.0);
+  deals_.assign(ngroups, Deal{});
   stage_seconds_.assign(static_cast<std::size_t>(plan_.pipe.num_stages()),
                         0.0);
 }
@@ -240,7 +236,10 @@ obs::RunReport Executor::run_report() const {
     if (g.stages.size() > 1) {
       label += " (+" + std::to_string(g.stages.size() - 1) + " stage(s))";
     }
-    rep.groups.push_back({std::move(label), group_seconds_[gi]});
+    static const char* kUnit[] = {"slab", "tile", "block"};
+    rep.groups.push_back({std::move(label), group_seconds_[gi],
+                          deals_[gi].chunks, deals_[gi].threads,
+                          kUnit[static_cast<int>(g.exec)]});
   }
   for (std::size_t f = 0; f < plan_.pipe.funcs.size() &&
                           f < stage_seconds_.size();
@@ -376,6 +375,11 @@ void Executor::raise_abort() {
   PMG_FAIL(ErrorCode::Cancelled,
            "run aborted: cancellation requested "
            "(outputs unspecified; keep the previous iterate)");
+}
+
+void Executor::note_deal(int gi, Deal deal) {
+  deals_[static_cast<std::size_t>(gi)] = deal;
+  if (deal.threads == 0) ctr_inline_groups_->add(1);
 }
 
 void Executor::run(std::span<const View> externals) {
@@ -652,6 +656,8 @@ void Executor::run_groups(std::span<const View> externals) {
 
 void Executor::run_loops_group(int gi, std::span<const View> externals) {
   const GroupPlan& g = plan_.groups[static_cast<std::size_t>(gi)];
+  // Slabs of the widest stage; inline unless some stage forked.
+  Deal deal{1, 0};
   for (std::size_t p = 0; p < g.stages.size(); ++p) {
     const StagePlan& sp = g.stages[p];
     const ir::FunctionDecl& f = plan_.pipe.funcs[sp.func];
@@ -671,6 +677,7 @@ void Executor::run_loops_group(int gi, std::span<const View> externals) {
     const index_t slab =
         std::max<index_t>(1, d0.size() / (static_cast<index_t>(nteam) * 8));
     const index_t nslabs = poly::ceildiv(d0.size(), slab);
+    deal = Deal{std::max(deal.chunks, nslabs), nteam};
     note_parallel_region();
 #pragma omp parallel for num_threads(nteam) schedule(static)
     for (index_t si = 0; si < nslabs; ++si) {
@@ -688,6 +695,7 @@ void Executor::run_loops_group(int gi, std::span<const View> externals) {
     tsan_join_acquire();
     stage_seconds_[static_cast<std::size_t>(sp.func)] += st.elapsed();
   }
+  note_deal(gi, deal);
 }
 
 void Executor::run_overlap_group(int gi, std::span<const View> externals) {
@@ -698,13 +706,26 @@ void Executor::run_overlap_group(int gi, std::span<const View> externals) {
   // its runtime equivalent. Without collapse only the outermost tile
   // dimension is parallel and inner tile loops run sequentially within
   // each chunk — same work, coarser chunking.
-  const index_t parallel_extent = parallel_chunks(g);
+  const index_t parallel_extent = g.parallel_chunks();
   const index_t tiles_per_chunk =
       g.collapse_depth > 1 ? 1
                            : tiles.total / std::max<index_t>(1, tiles.ntiles[0]);
 
+  // One chunk keeps one thread busy whatever the team: run it on the
+  // calling thread with workspace and arena 0, and open no region.
+  if (parallel_extent == 1) {
+    for (index_t ti = 0; ti < tiles.total; ++ti) {
+      if (poll_abort()) break;
+      exec_overlap_tile(gi, ti, externals, 0);
+    }
+    note_deal(gi, Deal{1, 0});
+    return;
+  }
+
+  const int nteam = team_threads();
+  note_deal(gi, Deal{parallel_extent, nteam});
   note_parallel_region();
-#pragma omp parallel num_threads(team_threads())
+#pragma omp parallel num_threads(nteam)
   {
     const int tid = thread_id();
 #pragma omp for schedule(static)
@@ -760,6 +781,10 @@ void Executor::run_timetile_group(int gi, std::span<const View> externals) {
   // one smoother-chain sweep, the group's natural granule).
   if (poll_abort()) return;
   TimeTileParams params{g.dtile_H, g.dtile_W};
+  // The sweep's phases fork the OpenMP default team over its blocks.
+  note_deal(gi, Deal{poly::ceildiv(step_fn.interior.dim(0).size(),
+                                   std::max(2 * params.H, params.W)),
+                     max_threads()});
   PMG_TRACE_NOW(t0);
   time_tiled_sweep(chain, bufs, stage_srcs_, params);
   PMG_TRACE_SPAN_R(TimeTileExec, t0, gi, g.stages.front().func, gi,

@@ -11,7 +11,8 @@
 // run strictly in order, each as one fork/join — a parallel loop over
 // dimension-0 slabs per Loops stage, over anchor tiles for an overlap
 // group, over split-tiling blocks for a time-tiled chain. Loops stages
-// below the plan's serial grain run on the calling thread instead. The
+// below the plan's serial grain, and overlap groups that deal out a
+// single tile chunk, run on the calling thread instead. The
 // executor's own regions fork the thread capacity sized at construction —
 // the OpenMP thread count then, capped at the plan's widest group — or
 // fewer, so an executor built at one thread count may run at any other.
@@ -151,6 +152,13 @@ private:
     int func = -1;   ///< producing function (kArray: the view's shape)
   };
 
+  /// How a group's last run was dealt out: `chunks` granules over a
+  /// team of `threads`, or 0 threads when it ran on the calling thread.
+  struct Deal {
+    index_t chunks = 0;
+    int threads = 0;
+  };
+
   /// Per-thread overlap-tile workspace, sized once at construction.
   struct Workspace {
     std::vector<Box> regions;        // fallback when a plan has no cache
@@ -190,6 +198,9 @@ private:
   void run_loops_group(int gi, std::span<const View> externals);
   void run_overlap_group(int gi, std::span<const View> externals);
   void run_timetile_group(int gi, std::span<const View> externals);
+  /// Record group `gi`'s deal for run_report(); an inline deal counts
+  /// in executor.inline_groups.
+  void note_deal(int gi, Deal deal);
 
   /// One overlapped tile / one Loops slab on team thread `tid`.
   void exec_overlap_tile(int gi, index_t ti,
@@ -221,6 +232,7 @@ private:
   std::atomic<std::uint8_t> abort_{0};
 
   std::vector<double> group_seconds_;
+  std::vector<Deal> deals_;  // per group, last run
   std::vector<double> stage_seconds_;
   std::int64_t runs_timed_ = 0;
 
@@ -254,6 +266,7 @@ private:
   obs::Counter* ctr_regions_cached_ = nullptr;    // executor.tile_regions_cached
   obs::Counter* ctr_regions_recomputed_ = nullptr;
   obs::Counter* ctr_aborted_runs_ = nullptr;      // executor.aborted_runs
+  obs::Counter* ctr_inline_groups_ = nullptr;     // executor.inline_groups
 };
 
 }  // namespace polymg::runtime

@@ -51,6 +51,48 @@ TEST(EmitC, ExpressionsRendered) {
   EXPECT_NE(code.find("F("), std::string::npos);
 }
 
+TEST(EmitC, TileBoundsFollowTheInteriorPartition) {
+  // A 65-point finest level (63 interior points) in 16-row tiles: tile 0
+  // starts at the domain edge, inner tiles step through the interior one
+  // ghost layer in, and tile 3 ends at the domain edge — the partition
+  // poly::TileGrid::tile_box hands the executor.
+  CycleConfig cfg;
+  cfg.ndim = 2;
+  cfg.n = 63;
+  cfg.levels = 3;
+  CompileOptions o = CompileOptions::for_variant(Variant::OptPlus, 2);
+  o.tile = {16, 256, 0};
+  const opt::CompiledPipeline cp = opt::compile(solvers::build_cycle(cfg), o);
+  const std::string code = emit_c(cp, "pipeline");
+  EXPECT_NE(code.find("for (int T_0 = 0; T_0 < 4; T_0++)"), std::string::npos);
+  EXPECT_NE(code.find("int lb_0 = (T_0 == 0 ? 0 : 1 + 16*T_0) - overlap_"),
+            std::string::npos);
+  EXPECT_NE(code.find("int ub_0 = (T_0 == 3 ? 64 : 16 + 16*T_0) + overlap_"),
+            std::string::npos);
+  // The 256-wide dimension is one tile spanning the whole domain.
+  EXPECT_NE(code.find("int lb_1 = 0 - overlap_"), std::string::npos);
+  EXPECT_NE(code.find("int ub_1 = 64 + overlap_"), std::string::npos);
+  EXPECT_EQ(code.find("16*(T_0+1)"), std::string::npos);
+  // The printed bounds are the executor's tiles on the finest level.
+  int finest_groups = 0;
+  for (const opt::GroupPlan& g : cp.groups) {
+    if (g.exec != opt::GroupExec::OverlapTiled || g.tiles.ntiles[0] != 4) {
+      continue;
+    }
+    ++finest_groups;
+    for (poly::index_t t0 = 0; t0 < 4; ++t0) {
+      const poly::Interval iv = g.tiles.tile_box(t0 * g.tiles.ntiles[1]).dim(0);
+      EXPECT_EQ(iv.lo, t0 == 0 ? 0 : 1 + 16 * t0);
+      EXPECT_EQ(iv.hi, t0 == 3 ? 64 : 16 + 16 * t0);
+    }
+  }
+  EXPECT_GT(finest_groups, 0);
+  // The 17-point coarsest level deals one tile chunk and runs on the
+  // calling thread, so its group prints no parallel loop.
+  EXPECT_NE(code.find("one tile chunk: runs on the calling thread"),
+            std::string::npos);
+}
+
 TEST(EmitC, GeneratedLocTracksComplexity) {
   CycleConfig v;
   v.ndim = 2;

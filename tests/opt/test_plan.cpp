@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <ostream>
+#include <string>
+
 #include "polymg/opt/compile.hpp"
 #include "polymg/solvers/cycles.hpp"
+#include "polymg/solvers/nas_mg.hpp"
 
 namespace polymg::opt {
 namespace {
@@ -20,8 +25,8 @@ CompiledPipeline compile_small(Variant v, int ndim = 2) {
   return compile(solvers::build_cycle(cfg), opts);
 }
 
-TEST(Plan, TileRegionsCoverConsumerFootprints) {
-  const CompiledPipeline cp = compile_small(Variant::OptPlus);
+// Every in-group producer region covers what its consumers read.
+void expect_regions_cover_footprints(const CompiledPipeline& cp) {
   for (const GroupPlan& g : cp.groups) {
     if (g.exec != GroupExec::OverlapTiled) continue;
     std::vector<poly::Box> regions;
@@ -53,8 +58,8 @@ TEST(Plan, TileRegionsCoverConsumerFootprints) {
   }
 }
 
-TEST(Plan, OwnedRegionsPartitionLiveoutDomains) {
-  const CompiledPipeline cp = compile_small(Variant::OptPlus);
+// The tiles' owned slices of every live-out partition its domain.
+void expect_owned_regions_partition(const CompiledPipeline& cp) {
   for (const GroupPlan& g : cp.groups) {
     if (g.exec != GroupExec::OverlapTiled) continue;
     const ir::FunctionDecl& anchor = cp.pipe.funcs[g.stages[g.anchor].func];
@@ -79,8 +84,8 @@ TEST(Plan, OwnedRegionsPartitionLiveoutDomains) {
   }
 }
 
-TEST(Plan, ScratchExtentBoundsHold) {
-  const CompiledPipeline cp = compile_small(Variant::OptPlus);
+// Every tile's stage regions fit the plan-time scratchpad bounds.
+void expect_scratch_bounds_hold(const CompiledPipeline& cp) {
   for (const GroupPlan& g : cp.groups) {
     if (g.exec != GroupExec::OverlapTiled) continue;
     std::vector<poly::Box> regions;
@@ -97,6 +102,114 @@ TEST(Plan, ScratchExtentBoundsHold) {
       }
     }
   }
+}
+
+TEST(Plan, TileRegionsCoverConsumerFootprints) {
+  expect_regions_cover_footprints(compile_small(Variant::OptPlus));
+}
+
+TEST(Plan, OwnedRegionsPartitionLiveoutDomains) {
+  expect_owned_regions_partition(compile_small(Variant::OptPlus));
+}
+
+TEST(Plan, ScratchExtentBoundsHold) {
+  expect_scratch_bounds_hold(compile_small(Variant::OptPlus));
+}
+
+// ---- The opt+ plans of the benchmark and paper-figure workloads, with
+// ---- their default tile sizes: every level is 2^k+1 points wide
+// ---- (2^k+2 for NAS-MG), so edge tiles carry the ghost layers.
+
+CompiledPipeline compile_cycle(int ndim, poly::index_t n, int levels,
+                               CycleKind kind) {
+  CycleConfig cfg;
+  cfg.ndim = ndim;
+  cfg.n = n;
+  cfg.levels = levels;
+  cfg.kind = kind;
+  return compile(solvers::build_cycle(cfg),
+                 CompileOptions::for_variant(Variant::OptPlus, ndim));
+}
+
+CompiledPipeline compile_nas(poly::index_t n, int levels) {
+  solvers::NasMgConfig cfg;
+  cfg.n = n;
+  cfg.levels = levels;
+  return compile(solvers::build_nas_mg_pipeline(cfg),
+                 CompileOptions::for_variant(Variant::OptPlus, 3));
+}
+
+struct WorkloadShape {
+  std::string name;
+  CompiledPipeline (*build)();
+};
+
+// Stable test names: gtest would otherwise print the parameter's bytes,
+// pointers included.
+void PrintTo(const WorkloadShape& s, std::ostream* os) { *os << s.name; }
+
+const WorkloadShape kWorkloadShapes[] = {
+    {"W2d_n1023_l7", [] { return compile_cycle(2, 1023, 7, CycleKind::W); }},
+    {"V2d_n255_l7", [] { return compile_cycle(2, 255, 7, CycleKind::V); }},
+    {"V3d_n127_l4", [] { return compile_cycle(3, 127, 4, CycleKind::V); }},
+    {"Nas_n64_l6", [] { return compile_nas(64, 6); }},
+};
+
+class PlanAtShape : public ::testing::TestWithParam<WorkloadShape> {};
+
+TEST_P(PlanAtShape, TileRegionsCoverConsumerFootprints) {
+  expect_regions_cover_footprints(GetParam().build());
+}
+
+TEST_P(PlanAtShape, OwnedRegionsPartitionLiveoutDomains) {
+  expect_owned_regions_partition(GetParam().build());
+}
+
+TEST_P(PlanAtShape, ScratchExtentBoundsHold) {
+  expect_scratch_bounds_hold(GetParam().build());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkloadShapes, PlanAtShape, ::testing::ValuesIn(kWorkloadShapes),
+    [](const ::testing::TestParamInfo<WorkloadShape>& info) {
+      return info.param.name;
+    });
+
+/// Tiles of every overlap group, keyed by its anchor's interior width
+/// (one key per level); all groups anchored on a level must agree.
+std::map<poly::index_t, poly::index_t> tiles_per_level(
+    const CompiledPipeline& cp) {
+  std::map<poly::index_t, poly::index_t> tiles;
+  for (const GroupPlan& g : cp.groups) {
+    if (g.exec != GroupExec::OverlapTiled) continue;
+    const poly::index_t n =
+        cp.pipe.funcs[g.stages[g.anchor].func].interior.dim(0).size();
+    const auto [it, fresh] = tiles.try_emplace(n, g.tiles.total);
+    EXPECT_EQ(it->second, g.tiles.total) << "level n=" << n;
+    (void)fresh;
+  }
+  return tiles;
+}
+
+TEST(Plan, TileCountsPerLevelStepThroughTheInterior) {
+  // Tiles step through each level's interior, so no tiled dimension
+  // ends in a one- or two-point sliver tile; the grouping pass does not
+  // depend on the tile grid, so the group counts stay put.
+  const CompiledPipeline w = compile_cycle(2, 1023, 7, CycleKind::W);
+  EXPECT_EQ(w.groups.size(), 185u);
+  const std::map<poly::index_t, poly::index_t> want_w = {
+      {1023, 128}, {511, 32}, {255, 8}, {127, 4}, {63, 2}, {31, 1}, {15, 1}};
+  EXPECT_EQ(tiles_per_level(w), want_w);
+
+  const CompiledPipeline large = compile_cycle(2, 4095, 11, CycleKind::V);
+  EXPECT_EQ(large.groups.size(), 28u);
+  EXPECT_EQ(tiles_per_level(large).at(4095), 2048);
+
+  EXPECT_EQ(tiles_per_level(compile_cycle(2, 255, 7, CycleKind::V)).at(255),
+            8);
+  EXPECT_EQ(tiles_per_level(compile_cycle(3, 127, 4, CycleKind::V)).at(127),
+            16);
+  EXPECT_EQ(tiles_per_level(compile_nas(64, 6)).at(64), 4);
 }
 
 TEST(Plan, GroupsTopologicallyOrdered) {

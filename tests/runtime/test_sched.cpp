@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "polymg/common/parallel.hpp"
+#include "polymg/obs/metrics.hpp"
 #include "polymg/opt/compile.hpp"
 #include "polymg/runtime/executor.hpp"
 #include "polymg/solvers/cycles.hpp"
@@ -42,6 +43,25 @@ std::vector<double> output_bits(const Executor& ex) {
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+}
+
+/// Whether a group deals out a single chunk: an overlap group of one tile
+/// chunk, or a Loops group whose every stage is under the serial grain.
+bool one_chunk(const opt::CompiledPipeline& cp, const opt::GroupPlan& g) {
+  switch (g.exec) {
+    case opt::GroupExec::OverlapTiled:
+      return g.parallel_chunks() == 1;
+    case opt::GroupExec::Loops:
+      for (const opt::StagePlan& sp : g.stages) {
+        if (cp.pipe.funcs[sp.func].domain.count() >= cp.opts.serial_grain) {
+          return false;
+        }
+      }
+      return true;
+    case opt::GroupExec::TimeTiled:
+      break;
+  }
+  return false;
 }
 
 /// Compile + run one cycle at `nthreads` and return the raw output bits.
@@ -204,6 +224,96 @@ TEST(Sched, ResetTimersClearsEveryAccumulator) {
   // Same problem, same plan: one run after a reset must not accumulate
   // materially more than a single run did (10x headroom for timer noise).
   EXPECT_LT(total2, 10.0 * after_one + 1.0);
+}
+
+TEST(Sched, OneChunkGroupsRunInlineAndTheReportSaysSo) {
+  // Each RunReport group row says how its last run was dealt out; exactly
+  // the one-chunk groups ran inline on the calling thread, and
+  // executor.inline_groups grows by their number per run.
+  const CycleConfig cfg = w2d();
+  auto p = solvers::PoissonProblem::random_rhs(2, cfg.n, 29);
+  const std::vector<View> ext = {p.v_view(), p.f_view()};
+  obs::Counter& inline_groups =
+      obs::Metrics::instance().counter("executor.inline_groups");
+  for (int threads : {2, 4}) {
+    const int prev = set_num_threads(threads);
+    Executor ex(opt::compile(solvers::build_cycle(cfg),
+                             CompileOptions::for_variant(Variant::OptPlus, 2)));
+    const opt::CompiledPipeline& cp = ex.plan();
+    std::int64_t want_inline = 0;
+    for (const opt::GroupPlan& g : cp.groups) want_inline += one_chunk(cp, g);
+    ASSERT_GT(want_inline, 0);
+    ASSERT_LT(want_inline, static_cast<std::int64_t>(cp.groups.size()));
+
+    ex.run(ext);
+    const std::int64_t before = inline_groups.value();
+    ex.run(ext);
+    EXPECT_EQ(inline_groups.value() - before, want_inline)
+        << threads << " threads";
+
+    const obs::RunReport rep = ex.run_report();
+    const std::string text = rep.render();
+    ASSERT_EQ(rep.groups.size(), cp.groups.size());
+    for (std::size_t gi = 0; gi < cp.groups.size(); ++gi) {
+      const obs::RunReport::TimeRow& row = rep.groups[gi];
+      const std::size_t at = text.find("  " + row.label + " ");
+      ASSERT_NE(at, std::string::npos) << row.label;
+      const std::string line = text.substr(at, text.find('\n', at) - at);
+      if (one_chunk(cp, cp.groups[gi])) {
+        EXPECT_EQ(row.threads, 0) << line;
+        EXPECT_EQ(row.chunks, 1) << line;
+        EXPECT_NE(line.find(", inline"), std::string::npos) << line;
+      } else {
+        EXPECT_GT(row.chunks, 1) << line;
+        EXPECT_GE(row.threads, 1) << line;
+        EXPECT_LE(row.threads, threads) << line;
+        EXPECT_EQ(line.find("inline"), std::string::npos) << line;
+        EXPECT_NE(line.find(" / "), std::string::npos) << line;
+      }
+    }
+    EXPECT_NE(text.find(" 1 tile, inline"), std::string::npos) << text;
+    set_num_threads(prev);
+  }
+}
+
+TEST(Sched, OneChunkRunOpensNoRegionAndMatchesTheForkedPath) {
+  // One tile row per level with collapse off makes every overlap group a
+  // single chunk, and an unreachable serial grain keeps every Loops stage
+  // on the calling thread: the run opens no parallel region. Dealing the
+  // same tiles to a team (collapse(2) on a copy of the plan) computes the
+  // same bits.
+  const CycleConfig cfg = w2d();
+  CompileOptions o = CompileOptions::for_variant(Variant::OptPlus, 2);
+  o.tile = {1024, 16, 0};
+  o.collapse = false;
+  o.serial_grain = std::numeric_limits<index_t>::max();
+  opt::CompiledPipeline serial = opt::compile(solvers::build_cycle(cfg), o);
+  opt::CompiledPipeline forked = serial;
+  int forked_groups = 0;
+  for (opt::GroupPlan& g : forked.groups) {
+    if (g.exec != opt::GroupExec::OverlapTiled) continue;
+    g.collapse_depth = 2;
+    forked_groups += g.parallel_chunks() > 1;
+  }
+  ASSERT_GT(forked_groups, 0);
+  for (const opt::GroupPlan& g : serial.groups) {
+    ASSERT_TRUE(one_chunk(serial, g));
+  }
+
+  auto p = solvers::PoissonProblem::random_rhs(2, cfg.n, 31);
+  const std::vector<View> ext = {p.v_view(), p.f_view()};
+  const int prev = set_num_threads(4);
+  Executor a(std::move(serial));
+  Executor b(std::move(forked));
+  const std::uint64_t regions = parallel_regions_entered();
+  a.run(ext);
+  a.run(ext);
+  EXPECT_EQ(parallel_regions_entered(), regions);
+  const std::vector<double> got = output_bits(a);
+  b.run(ext);
+  EXPECT_GT(parallel_regions_entered(), regions);
+  EXPECT_TRUE(same_bits(got, output_bits(b)));
+  set_num_threads(prev);
 }
 
 }  // namespace
