@@ -13,9 +13,11 @@
 // site); --full runs the whole site × axis cross-product. Axis caveat,
 // so the matrix is read honestly: the service serves constant-coefficient
 // Poisson plans, which are all-linear: JitMode::On binds no kernels, so
-// the jit.* sites never fire in-service (their firing path is covered by
-// test_jit_sandbox); armed-but-silent sites must still leave the service
-// fully live.
+// the jit.* and cache.enospc sites never fire in-service (their firing
+// path is covered by test_jit_sandbox); armed-but-silent sites must
+// still leave the service fully live. Every other site fires: the
+// service checkpoints every cycle, so solve.crash and checkpoint.corrupt
+// have a snapshot to act on.
 //
 // Flags: --full, --burst N, --reps N, --json FILE.
 #include <cstdio>
@@ -85,6 +87,7 @@ ServiceConfig chaos_config() {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.queue_capacity = 16;
+  cfg.guard.checkpoint_cadence = 1;
   cfg.stall_timeout_ms = 150.0;  // cold compiles must not read as stalls
   cfg.watchdog_poll_ms = 5.0;
   cfg.stall_fault_ms = 60000.0;  // uncooperative: only escalation ends it

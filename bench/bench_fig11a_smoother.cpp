@@ -5,13 +5,7 @@
 // 4 steps and diamond ahead at 10 (3-d); in 2-d overlapped always wins —
 // pass --ndim 2 to check that too.
 //
-// Also includes the wavefront (time-skewed, line-buffered) schedule of
-// Williams et al. as an ablation: no redundant computation, no
-// concurrent start (§5's comparison point).
-//
 // Flags: --paper, --reps N, --ndim 2|3.
-#include "polymg/runtime/wavefront.hpp"
-
 #include "gbench.hpp"
 
 namespace polymg::bench {
@@ -31,28 +25,6 @@ SolveRunner smoother_runner(Variant var, const CycleConfig& cfg, int steps,
       const std::vector<grid::View> ext = {p->v_view(), p->f_view()};
       ex->run(ext);
       grid::copy_region(p->v_view(), ex->output_view(0), p->domain());
-    }
-  };
-  return r;
-}
-
-SolveRunner wavefront_runner(const CycleConfig& cfg, int steps, int sweeps) {
-  SolveRunner r;
-  r.label = "wavefront";
-  auto p = std::make_shared<solvers::PoissonProblem>(
-      solvers::PoissonProblem::random_rhs(cfg.ndim, cfg.n, 7));
-  auto out = std::make_shared<grid::Buffer>(grid::make_grid(p->domain()));
-  const double w = cfg.smoother_weight(cfg.levels - 1);
-  const double inv_h2 =
-      1.0 / (cfg.level_h(cfg.levels - 1) * cfg.level_h(cfg.levels - 1));
-  r.run = [p, out, w, inv_h2, steps, sweeps, cfg] {
-    for (int i = 0; i < sweeps; ++i) {
-      runtime::wavefront_jacobi(
-          p->v_view(), grid::View::over(out->data(), p->domain()),
-          p->f_view(), cfg.n, cfg.ndim, w, inv_h2, steps);
-      grid::copy_region(p->v_view(),
-                        grid::View::over(out->data(), p->domain()),
-                        p->interior());
     }
   };
   return r;
@@ -85,7 +57,6 @@ int main(int argc, char** argv) {
       register_point(row, polymg::opt::to_string(v),
                      smoother_runner(v, cfg, steps, /*sweeps=*/2), reps);
     }
-    register_point(row, "wavefront", wavefront_runner(cfg, steps, 2), reps);
   }
 
   ResultTable table;

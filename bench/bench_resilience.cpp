@@ -1,22 +1,19 @@
 // Resilience cost model (DESIGN.md §9): what does surviving failures
-// cost when nothing actually fails, and what does recovery cost when
-// something does?
+// cost when nothing actually fails, and does the guard catch silent
+// corruption when something does?
 //
 //   1. Checkpoint overhead vs cadence — guarded_solve on W-2D at
 //      cadence 0 (off, the baseline) through 8; the acceptance bar is
 //      <5% overhead at the resilience-on default (cadence 1).
-//   2. Rank-death recovery latency — the time DistMgSolver::recover()
-//      takes to rebuild a dead rank's slab from its ring replica,
-//      shrink the decomposition to the survivors and rescatter.
-//   3. SDC detection rate — repeated solves each carrying one injected
+//   2. SDC detection rate — repeated solves each carrying one injected
 //      finite bit-flip (kernel.bitflip at a pseudo-random cycle); the
 //      residual-jump guard must catch and roll back essentially all of
 //      them, and every trial must still converge.
 //
 // Emits a single JSON object (not the usual speedup-table array): the
-// three panels above are derived metrics, not per-series timings.
+// two panels above are derived metrics, not per-series timings.
 //
-// Flags: --paper, --reps N, --ranks R, --trials T, --json FILE.
+// Flags: --paper, --reps N, --trials T, --json FILE.
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "gbench.hpp"
-#include "polymg/dist/dist_mg.hpp"
 #include "polymg/runtime/pool.hpp"
 #include "polymg/solvers/checkpoint.hpp"
 #include "polymg/solvers/guarded.hpp"
@@ -81,7 +77,6 @@ int main(int argc, char** argv) {
   MetricsFromOptions metrics(opts);
   const bool paper = paper_sizes_requested(opts);
   const int reps = static_cast<int>(opts.get_int("reps", 3));
-  const int ranks = static_cast<int>(opts.get_int("ranks", 4));
   const int trials = static_cast<int>(opts.get_int("trials", 20));
 
   // ---- Panel 1: checkpoint overhead vs cadence (W-cycle 2D). --------
@@ -159,31 +154,7 @@ int main(int argc, char** argv) {
                 pt->stats.min * 1e3, overhead_pct(*pt), pt->writes);
   }
 
-  // ---- Panel 2: rank-death recovery latency. ------------------------
-  // recover() mutates the solver (the decomposition shrinks), so each
-  // repetition drives a fresh solver to the same pre-death state: one
-  // cycle run, checkpoint committed, then rank 1 is declared dead.
-  CycleConfig dcfg;
-  dcfg.ndim = 2;
-  dcfg.n = sc.n2d;
-  dcfg.levels = 3;
-  polymg::Stats recover_s;
-  for (int i = 0; i < reps; ++i) {
-    PoissonProblem p = PoissonProblem::random_rhs(dcfg.ndim, dcfg.n, 7);
-    polymg::dist::DistMgSolver solver(dcfg, ranks);
-    solver.scatter(p.v_view(), p.f_view());
-    solver.cycle();
-    solver.write_checkpoint(1);
-    polymg::Timer t;
-    solver.recover(/*dead_rank=*/1);
-    recover_s.observe(t.elapsed());
-  }
-  std::printf("\nrank-death recovery, %d -> %d ranks (n=%lld):\n", ranks,
-              ranks - 1, static_cast<long long>(dcfg.n));
-  std::printf("  latency %.2f ms (mean %.2f ms over %d reps)\n",
-              recover_s.min * 1e3, recover_s.mean * 1e3, reps);
-
-  // ---- Panel 3: SDC detection rate. ---------------------------------
+  // ---- Panel 2: SDC detection rate. ---------------------------------
   // Each trial arms one finite bit-flip at a trial-specific seed so the
   // corruption lands at a different cycle/kernel every time. Trials
   // where the flip never fired (the solve converged first) don't count
@@ -241,11 +212,6 @@ int main(int argc, char** argv) {
                    i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"recovery\": {\"ranks\": %d, \"survivors\": %d, "
-                 "\"latency_ms\": %.6f, \"mean_ms\": %.6f, \"reps\": %d},\n",
-                 ranks, ranks - 1, recover_s.min * 1e3, recover_s.mean * 1e3,
-                 reps);
     std::fprintf(f,
                  "  \"sdc\": {\"trials\": %d, \"injected\": %d, "
                  "\"detected\": %d, \"detection_rate\": %.4f, "

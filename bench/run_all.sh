@@ -5,7 +5,7 @@
 #   BENCH_fig9.json     — 2-d multigrid variant comparison (Fig. 9)
 #   BENCH_scaling.json  — thread scaling, polymg-naive vs polymg-opt+
 #   BENCH_autotune.json — the Fig. 12 autotuning sweep
-#   BENCH_resilience.json — checkpoint overhead, recovery latency, SDC rate
+#   BENCH_resilience.json — checkpoint overhead, SDC detection rate
 #   BENCH_service.json  — solve-service throughput / tail latency / overload
 #   BENCH_obs.json      — observability plane: histogram accuracy, record
 #                         overhead, trace overhead, roofline attribution

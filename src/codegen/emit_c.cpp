@@ -219,7 +219,12 @@ std::string emit_c(const CompiledPipeline& plan, const std::string& name) {
         for (const StagePlan& sp : g.stages) {
           const FunctionDecl& f = plan.pipe.funcs[sp.func];
           os << "  /* " << f.name << " */\n";
-          os << "#pragma omp parallel for schedule(static)\n";
+          if (opt::loops_stage_forks(f.domain, plan.opts)) {
+            os << "#pragma omp parallel for schedule(static)\n";
+          } else {
+            os << "  /* under the serial grain: runs on the calling thread "
+                  "*/\n";
+          }
           emit_stage_loops(os, plan, sp.func, "  ",
                            "_arr_" + std::to_string(sp.array),
                            /*clamp_to_tile=*/false);

@@ -14,12 +14,8 @@ const char* to_string(ErrorCode code) {
       return "ResidualStagnation";
     case ErrorCode::PoolExhausted:
       return "PoolExhausted";
-    case ErrorCode::HaloExchangeFailed:
-      return "HaloExchangeFailed";
     case ErrorCode::PreconditionViolated:
       return "PreconditionViolated";
-    case ErrorCode::RankFailure:
-      return "RankFailure";
     case ErrorCode::CheckpointCorrupt:
       return "CheckpointCorrupt";
     case ErrorCode::DeadlineExceeded:

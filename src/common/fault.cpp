@@ -63,11 +63,10 @@ long FaultInjector::fired(const std::string& site) const {
 }
 
 std::vector<std::string> FaultInjector::list_sites() {
-  return {kAllocFail,     kCacheEnospc,  kCheckpointCorrupt,
-          kDistHalo,      kJitCompile,   kJitHang,
-          kKernelBitflip, kKernelOutput, kPoolAlloc,
-          kRankDeath,     kServiceReject, kServiceSlow,
-          kSolveCrash,    kSolveStall};
+  return {kAllocFail,     kCacheEnospc,   kCheckpointCorrupt,
+          kJitCompile,    kJitHang,       kKernelBitflip,
+          kKernelOutput,  kPoolAlloc,     kServiceReject,
+          kServiceSlow,   kSolveCrash,    kSolveStall};
 }
 
 bool FaultInjector::is_known_site(const std::string& site) {

@@ -3,8 +3,8 @@
 // All precondition and invariant violations funnel through Error (a
 // std::runtime_error subclass) so library users can catch one type. Each
 // Error carries an ErrorCode so the guarded-execution layer can dispatch
-// on failure kind (fall back on InvalidPlan, retry on HaloExchangeFailed,
-// ...) without parsing messages. The PMG_CHECK macro is always on
+// on failure kind (fall back on InvalidPlan, shed a PoolExhausted request
+// as Overloaded, ...) without parsing messages. The PMG_CHECK macro is always on
 // (multigrid planning is not on the hot path); PMG_DCHECK compiles out in
 // release builds and is used inside point loops.
 #pragma once
@@ -23,9 +23,7 @@ enum class ErrorCode {
   NumericalDivergence,   ///< non-finite values or exploding residuals
   ResidualStagnation,    ///< residual stopped contracting before tolerance
   PoolExhausted,         ///< pooled allocator could not serve a request
-  HaloExchangeFailed,    ///< distributed halo exchange undeliverable
   PreconditionViolated,  ///< caller broke a documented API precondition
-  RankFailure,           ///< a simulated rank stopped answering exchanges
   CheckpointCorrupt,     ///< checkpoint payload failed its checksum
   DeadlineExceeded,      ///< a request's deadline passed mid-solve
   Cancelled,             ///< cooperative cancellation was requested

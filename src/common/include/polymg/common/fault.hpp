@@ -2,7 +2,7 @@
 //
 // A process-wide registry of named fault sites. Production code asks
 // `fault::should_fail("pool.alloc")` at the points where a real system
-// could fail (allocation, kernel output, halo delivery); tests arm a site
+// could fail (allocation, kernel output, a solve crash); tests arm a site
 // for a bounded number of firings — optionally probabilistic via the
 // seeded splitmix64 Rng, so every run of a test observes the same fault
 // pattern. When nothing is armed the check is one relaxed atomic load,
@@ -24,10 +24,6 @@ namespace polymg::fault {
 /// FaultInjector::list_sites()).
 inline constexpr const char* kPoolAlloc = "pool.alloc";
 inline constexpr const char* kKernelOutput = "kernel.output";
-inline constexpr const char* kDistHalo = "dist.halo";
-/// A rank stops answering halo exchanges (the sender of the delivery in
-/// flight when the site fires is declared dead).
-inline constexpr const char* kRankDeath = "rank.death";
 /// A committed checkpoint payload is corrupted in storage (detected at
 /// restore time by the checksum).
 inline constexpr const char* kCheckpointCorrupt = "checkpoint.corrupt";
@@ -124,7 +120,7 @@ inline bool should_fail(const char* site) {
 
 /// Arm sites from a user-facing option string:
 ///   "site[:count[:probability[:seed]]]" — comma-separated for several.
-/// Examples: "dist.halo", "rank.death:1", "kernel.bitflip:-1:0.05:7".
+/// Examples: "solve.crash", "service.reject:1", "kernel.bitflip:-1:0.05:7".
 /// A site name outside list_sites() throws Error(PreconditionViolated)
 /// naming the valid sites, so a typo'd --fault= option fails at startup
 /// instead of silently never firing.

@@ -1,14 +1,14 @@
 // polymg::obs — lock-free per-thread trace sink.
 //
-// Every runtime layer (executor, pool, guarded execution, the distributed
-// backend, the solve service) records typed events here: group, tile and
-// slab executions with group/stage ids, pool traffic, halo exchanges,
-// fallbacks and health-scan verdicts. Recording is a single
-// bounds-checked store into a preallocated per-thread ring buffer — no
-// locks, no atomics beyond one relaxed enabled-flag load, no heap
-// traffic — so tracing a steady-state run stays inside the executor's
-// zero-allocation envelope, and a disabled trace costs one relaxed load
-// per would-be event (asserted bit-exact and zero-alloc by tests/obs).
+// Every runtime layer (executor, pool, guarded execution, the solve
+// service) records typed events here: group, tile and slab executions
+// with group/stage ids, pool traffic, fallbacks and health-scan verdicts.
+// Recording is a single bounds-checked store into a preallocated
+// per-thread ring buffer — no locks, no atomics beyond one relaxed
+// enabled-flag load, no heap traffic — so tracing a steady-state run
+// stays inside the executor's zero-allocation envelope, and a disabled
+// trace costs one relaxed load per would-be event (asserted bit-exact
+// and zero-alloc by tests/obs).
 //
 // Overhead control is two-layered:
 //  * compile time — building with POLYMG_TRACE_DISABLED defines the
@@ -40,9 +40,6 @@ enum class EventKind : std::uint8_t {
   PoolAlloc,     ///< pool allocation: id=1 reuse hit / 0 fresh, value=bytes
   PoolRelease,   ///< pool release: value=bytes
   ScratchBind,   ///< scratchpad bound for a tile: id=tile, value=bytes
-  HaloExchange,  ///< one halo-exchange round: group=level, stage=field,
-                 ///< value=doubles moved
-  HaloRetry,     ///< one halo message re-send: group=level
   FaultInjected, ///< an armed fault site fired: id encodes the site
   Fallback,      ///< guarded executor served a run from the reference plan
   HealthScan,    ///< output non-finite scan: value=1 healthy / 0 not
@@ -52,9 +49,6 @@ enum class EventKind : std::uint8_t {
   CheckpointWrite,    ///< checkpoint committed: id=next cycle, value=bytes
   CheckpointRestore,  ///< state rolled back to a checkpoint: id=next
                       ///< cycle, value=1 checksum ok / 0 corrupt
-  RankDeath,          ///< a rank stopped answering: group=level, id=rank
-  Recovery,           ///< shrink-to-survivors completed: id=dead rank,
-                      ///< value=doubles redistributed
   SdcDetected,        ///< silent-data-corruption guard fired:
                       ///< group=cycle, value=suspect residual
   RequestAdmit,       ///< service admitted a request: id=ticket,

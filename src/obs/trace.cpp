@@ -78,8 +78,6 @@ const char* to_string(EventKind k) {
     case EventKind::PoolAlloc: return "pool_alloc";
     case EventKind::PoolRelease: return "pool_release";
     case EventKind::ScratchBind: return "scratch_bind";
-    case EventKind::HaloExchange: return "halo_exchange";
-    case EventKind::HaloRetry: return "halo_retry";
     case EventKind::FaultInjected: return "fault_injected";
     case EventKind::Fallback: return "fallback";
     case EventKind::HealthScan: return "health_scan";
@@ -87,8 +85,6 @@ const char* to_string(EventKind k) {
     case EventKind::Residual: return "residual";
     case EventKind::CheckpointWrite: return "checkpoint_write";
     case EventKind::CheckpointRestore: return "checkpoint_restore";
-    case EventKind::RankDeath: return "rank_death";
-    case EventKind::Recovery: return "recovery";
     case EventKind::SdcDetected: return "sdc_detected";
     case EventKind::RequestAdmit: return "request_admit";
     case EventKind::RequestReject: return "request_reject";

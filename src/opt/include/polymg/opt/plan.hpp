@@ -84,6 +84,13 @@ struct GroupPlan {
   int time_temp_array = -1;   ///< ping-pong partner of the output array
 };
 
+/// Whether a Loops stage over `domain` forks a parallel loop. A stage
+/// under the serial grain is a handful of rows that the fork/join alone
+/// would dwarf, so it runs on the calling thread.
+inline bool loops_stage_forks(const Box& domain, const CompileOptions& opts) {
+  return domain.count() >= opts.serial_grain;
+}
+
 struct ArrayInfo {
   std::string name;
   poly::index_t doubles = 0;

@@ -39,8 +39,8 @@ int parallel_width(const opt::CompiledPipeline& plan) {
         return kAnyTeam;
       case GroupExec::Loops:
         for (const StagePlan& sp : g.stages) {
-          if (plan.pipe.funcs[sp.func].domain.count() >=
-              plan.opts.serial_grain) {
+          if (opt::loops_stage_forks(plan.pipe.funcs[sp.func].domain,
+                                     plan.opts)) {
             return kAnyTeam;
           }
         }
@@ -663,9 +663,8 @@ void Executor::run_loops_group(int gi, std::span<const View> externals) {
     const ir::FunctionDecl& f = plan_.pipe.funcs[sp.func];
     Timer st;
     if (poll_abort()) return;
-    // Grain fast path: a coarse level is a handful of rows — the
-    // fork/join alone dwarfs the work, so run it on the calling thread.
-    if (f.domain.count() < plan_.opts.serial_grain) {
+    // Grain fast path: a coarse level runs on the calling thread.
+    if (!opt::loops_stage_forks(f.domain, plan_.opts)) {
       exec_loops_part(gi, static_cast<int>(p), f.domain, externals, 0);
       stage_seconds_[static_cast<std::size_t>(sp.func)] += st.elapsed();
       continue;

@@ -1,9 +1,9 @@
 // Pool-backed, checksummed solver-state checkpoints.
 //
 // A Checkpoint is a set of numbered payload slots (flat double arrays —
-// per-level solution/RHS slabs, residual-history tails) plus a small
-// scalar metadata block (cycle index, ladder rung, monitor state). Slot
-// storage comes from a runtime::MemoryPool, so a solve that checkpoints
+// the iterate, residual-history tails) plus a small scalar metadata
+// block (cycle index, ladder rung, monitor state). Slot storage comes
+// from a runtime::MemoryPool, so a solve that checkpoints
 // on a cadence performs no malloc traffic after the first capture: the
 // steady-state zero-allocation invariant holds between checkpoints and,
 // once slot sizes are stable, across them.
@@ -12,8 +12,7 @@
 // re-verifies it, so a payload corrupted in storage (fault site
 // `checkpoint.corrupt`, or a real bad DIMM) is detected instead of being
 // smoothed into the iterate — the caller then falls back to a stronger
-// remedy (guarded_solve walks its degradation ladder; the distributed
-// solver declares the recovery unserviceable).
+// remedy (guarded_solve walks its degradation ladder).
 //
 // Capture protocol: begin() → save()/set_meta() per slot → commit().
 // A checkpoint is only valid() after commit(); a crash mid-capture

@@ -37,6 +37,41 @@ TEST(EmitC, NaiveHasNoTilingOrPool) {
   EXPECT_NE(code.find("malloc"), std::string::npos);
 }
 
+TEST(EmitC, LoopsStagesUnderTheSerialGrainPrintNoPragma) {
+  // The naive plan runs every stage as plain loops. The 17² and 33²
+  // levels (289 and 1089 points) are under the 4096-point serial grain,
+  // so the executor runs them on the calling thread; the 65² finest
+  // level (4225 points) forks.
+  const opt::CompiledPipeline cp = plan(Variant::Naive);
+  const std::string code = emit_c(cp, "pipeline");
+  int forked = 0;
+  int inline_stages = 0;
+  for (const opt::GroupPlan& g : cp.groups) {
+    ASSERT_EQ(g.exec, opt::GroupExec::Loops);
+    for (const opt::StagePlan& sp : g.stages) {
+      const ir::FunctionDecl& f = cp.pipe.funcs[sp.func];
+      const std::string head = "  /* " + f.name + " */\n";
+      const std::size_t at = code.find(head);
+      ASSERT_NE(at, std::string::npos) << f.name;
+      const std::size_t from = at + head.size();
+      const std::string next = code.substr(from, code.find('\n', from) - from);
+      const poly::index_t extent = f.domain.dim(0).size();
+      if (extent == 65) {
+        EXPECT_EQ(next, "#pragma omp parallel for schedule(static)") << f.name;
+        ++forked;
+      } else {
+        EXPECT_TRUE(extent == 17 || extent == 33) << f.name << " " << extent;
+        EXPECT_EQ(next,
+                  "  /* under the serial grain: runs on the calling thread */")
+            << f.name;
+        ++inline_stages;
+      }
+    }
+  }
+  EXPECT_GT(forked, 0);
+  EXPECT_GT(inline_stages, 0);
+}
+
 TEST(EmitC, DtileEmitsPhases) {
   const std::string code = emit_c(plan(Variant::DtileOptPlus), "pipeline");
   EXPECT_NE(code.find("phase 1"), std::string::npos);

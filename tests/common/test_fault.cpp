@@ -23,7 +23,7 @@ TEST_F(FaultTest, NothingArmedNeverFails) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(should_fail(kPoolAlloc));
     EXPECT_FALSE(should_fail(kKernelOutput));
-    EXPECT_FALSE(should_fail(kDistHalo));
+    EXPECT_FALSE(should_fail(kServiceReject));
   }
 }
 
@@ -40,14 +40,14 @@ TEST_F(FaultTest, BoundedCountFiresExactly) {
 
 TEST_F(FaultTest, SitesAreAddressedIndependently) {
   auto& fi = FaultInjector::instance();
-  fi.arm(kDistHalo, 2);
+  fi.arm(kServiceReject, 2);
   EXPECT_FALSE(should_fail(kPoolAlloc));
   EXPECT_FALSE(should_fail(kKernelOutput));
-  EXPECT_TRUE(should_fail(kDistHalo));
-  EXPECT_TRUE(should_fail(kDistHalo));
-  EXPECT_FALSE(should_fail(kDistHalo));
+  EXPECT_TRUE(should_fail(kServiceReject));
+  EXPECT_TRUE(should_fail(kServiceReject));
+  EXPECT_FALSE(should_fail(kServiceReject));
   EXPECT_EQ(fi.fired(kPoolAlloc), 0);
-  EXPECT_EQ(fi.fired(kDistHalo), 2);
+  EXPECT_EQ(fi.fired(kServiceReject), 2);
 }
 
 TEST_F(FaultTest, ProbabilisticFiringIsDeterministic) {
@@ -83,11 +83,11 @@ TEST_F(FaultTest, UnboundedUntilDisarm) {
 
 TEST_F(FaultTest, RearmKeepsFiredCounter) {
   auto& fi = FaultInjector::instance();
-  fi.arm(kDistHalo, 1);
-  EXPECT_TRUE(should_fail(kDistHalo));
-  fi.arm(kDistHalo, 1);
-  EXPECT_TRUE(should_fail(kDistHalo));
-  EXPECT_EQ(fi.fired(kDistHalo), 2);
+  fi.arm(kServiceReject, 1);
+  EXPECT_TRUE(should_fail(kServiceReject));
+  fi.arm(kServiceReject, 1);
+  EXPECT_TRUE(should_fail(kServiceReject));
+  EXPECT_EQ(fi.fired(kServiceReject), 2);
 }
 
 TEST_F(FaultTest, ResetClearsEverything) {
@@ -113,19 +113,23 @@ TEST_F(FaultTest, ScopedFaultDisarmsOnExit) {
 
 TEST_F(FaultTest, ListSitesCoversEveryCanonicalSite) {
   const std::vector<std::string> sites = FaultInjector::list_sites();
-  for (const char* s : {kPoolAlloc, kKernelOutput, kDistHalo, kRankDeath,
-                        kCheckpointCorrupt, kKernelBitflip, kSolveCrash}) {
+  for (const char* s :
+       {kPoolAlloc, kKernelOutput, kCheckpointCorrupt, kKernelBitflip,
+        kSolveCrash, kServiceReject, kServiceSlow, kJitCompile, kJitHang,
+        kSolveStall, kCacheEnospc, kAllocFail}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), s), sites.end()) << s;
     EXPECT_TRUE(FaultInjector::is_known_site(s)) << s;
   }
+  EXPECT_EQ(sites.size(), 12u)
+      << "list_sites() names a site this test does not check";
   EXPECT_FALSE(FaultInjector::is_known_site("no.such.site"));
 }
 
 TEST_F(FaultTest, ArmFromSpecArmsNamedSites) {
-  arm_from_spec("dist.halo:2,kernel.bitflip:1:0.5:99");
-  EXPECT_TRUE(should_fail(kDistHalo));
-  EXPECT_TRUE(should_fail(kDistHalo));
-  EXPECT_FALSE(should_fail(kDistHalo)) << "count 2 is exhausted";
+  arm_from_spec("service.reject:2,kernel.bitflip:1:0.5:99");
+  EXPECT_TRUE(should_fail(kServiceReject));
+  EXPECT_TRUE(should_fail(kServiceReject));
+  EXPECT_FALSE(should_fail(kServiceReject)) << "count 2 is exhausted";
   // Probability 0.5 with a fixed seed is deterministic: some of the next
   // draws fire, and only ever once in total (count 1).
   int fired = 0;
@@ -135,23 +139,23 @@ TEST_F(FaultTest, ArmFromSpecArmsNamedSites) {
 
 TEST_F(FaultTest, ArmFromSpecRejectsUnknownSitesAtStartup) {
   try {
-    arm_from_spec("dist.hallo:1");
+    arm_from_spec("service.rejct:1");
     FAIL() << "a typo'd site name must be rejected, not silently ignored";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::PreconditionViolated);
     const std::string what = e.what();
-    EXPECT_NE(what.find("dist.hallo"), std::string::npos);
-    EXPECT_NE(what.find(kRankDeath), std::string::npos)
+    EXPECT_NE(what.find("service.rejct"), std::string::npos);
+    EXPECT_NE(what.find(kSolveStall), std::string::npos)
         << "the error must list the valid sites";
   }
   EXPECT_FALSE(FaultInjector::instance().any_armed());
 }
 
 TEST_F(FaultTest, ArmFromSpecRejectsMalformedNumbers) {
-  EXPECT_THROW(arm_from_spec("dist.halo:never"), Error);
-  EXPECT_THROW(arm_from_spec("dist.halo:1:often"), Error);
-  EXPECT_THROW(arm_from_spec("dist.halo:1:0.5:badseed"), Error);
-  EXPECT_THROW(arm_from_spec("dist.halo:1:0.5:1:extra"), Error);
+  EXPECT_THROW(arm_from_spec("solve.stall:never"), Error);
+  EXPECT_THROW(arm_from_spec("solve.stall:1:often"), Error);
+  EXPECT_THROW(arm_from_spec("solve.stall:1:0.5:badseed"), Error);
+  EXPECT_THROW(arm_from_spec("solve.stall:1:0.5:1:extra"), Error);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ bool one_chunk(const opt::CompiledPipeline& cp, const opt::GroupPlan& g) {
       return g.parallel_chunks() == 1;
     case opt::GroupExec::Loops:
       for (const opt::StagePlan& sp : g.stages) {
-        if (cp.pipe.funcs[sp.func].domain.count() >= cp.opts.serial_grain) {
+        if (opt::loops_stage_forks(cp.pipe.funcs[sp.func].domain, cp.opts)) {
           return false;
         }
       }
