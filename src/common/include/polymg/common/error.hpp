@@ -4,9 +4,9 @@
 // std::runtime_error subclass) so library users can catch one type. Each
 // Error carries an ErrorCode so the guarded-execution layer can dispatch
 // on failure kind (fall back on InvalidPlan, shed a PoolExhausted request
-// as Overloaded, ...) without parsing messages. The PMG_CHECK macro is always on
-// (multigrid planning is not on the hot path); PMG_DCHECK compiles out in
-// release builds and is used inside point loops.
+// as Overloaded, ...) without parsing messages. The PMG_CHECK macro is
+// always on (multigrid planning is not on the hot path); PMG_DCHECK
+// compiles out in release builds and is used inside point loops.
 #pragma once
 
 #include <sstream>
