@@ -116,6 +116,9 @@ RunOutcome run_site(const std::string& site, const Axes& axes, int burst) {
     if (warm.admitted) (void)svc.wait(warm.ticket);
   }
 
+  // The injector keeps counting across re-arms: report this run's own
+  // firings, not the running total of earlier runs of the site.
+  const long fired0 = fi.fired(site);
   fi.arm(site, /*count=*/2);
   std::vector<std::uint64_t> tickets;
   for (int i = 0; i < burst; ++i) {
@@ -133,7 +136,7 @@ RunOutcome run_site(const std::string& site, const Axes& axes, int burst) {
     ++out.terminated;
     ++out.by_status[to_string(res.status)];
   }
-  out.fired = fi.fired(site);
+  out.fired = fi.fired(site) - fired0;
   fi.disarm(site);
 
   const auto probe = svc.submit(make_req(axes, "probe"));

@@ -1,9 +1,9 @@
-// Kernel-engine microbenchmarks: the point-wise stack interpreter vs the
-// row-batched register engine vs the linear tap-loop kernel vs the JIT-
-// specialized native kernel on the stencils multigrid actually runs
-// (5-pt/9-pt 2-d, 27-pt 3-d) plus a variable-coefficient stencil that
-// only the non-linear paths can execute (a load·load product defeats
-// the linearizer — its tap-loop baseline is hand-written below).
+// Kernel-path microbenchmarks: the point-wise stack interpreter vs the
+// linear tap-loop kernel vs the JIT-specialized native kernel on the
+// stencils multigrid actually runs (5-pt/9-pt 2-d, 27-pt 3-d) plus a
+// variable-coefficient stencil that only the non-linear paths can
+// execute (a load·load product defeats the linearizer — its tap-loop
+// baseline is hand-written below).
 //
 // Flags: --reps N (default 5), --n2d E (2-d edge, default 1023),
 //        --n3d E (3-d edge, default 127), --json <path>,
@@ -98,9 +98,6 @@ void run_case(ResultTable& table, const Case& c, index_t edge, int reps) {
   View ov = View::over(out.data(), region);
 
   const ir::Bytecode bc = ir::compile_bytecode(c.expr);
-  const ir::RegProgram rp = ir::compile_regprog(bc);
-  PMG_CHECK(ir::regprog_fits_engine(rp),
-            c.name << " does not fit the register engine");
   const auto lf = ir::try_linearize(c.expr, c.ndim);
 
   const std::string row = c.name + "/" + std::to_string(edge);
@@ -108,12 +105,6 @@ void run_case(ResultTable& table, const Case& c, index_t edge, int reps) {
                min_time_of(
                    [&] {
                      runtime::apply_bytecode(bc, ov, srcs, region);
-                   },
-                   reps));
-  table.record(row, "regengine",
-               min_time_of(
-                   [&] {
-                     runtime::apply_regprog(rp, ov, srcs, region);
                    },
                    reps));
   if (lf) {
@@ -124,16 +115,16 @@ void run_case(ResultTable& table, const Case& c, index_t edge, int reps) {
                      },
                      reps));
   } else if (c.name == "varcoef-2d") {
-    // Sanity-check the hand kernel against the register engine before
+    // Sanity-check the hand kernel against the interpreter before
     // trusting its timing (tolerance, not bits: its fused form is
-    // exactly what the one-op-per-statement engines avoid).
+    // exactly what the one-op-per-statement paths avoid).
     Buffer ref = grid::make_grid(region);
     View rv = View::over(ref.data(), region);
-    runtime::apply_regprog(rp, rv, srcs, region);
+    runtime::apply_bytecode(bc, rv, srcs, region);
     varcoef2d_hand(ov, srcs[0], srcs[1], region);
     for (std::size_t i = 0; i < ref.size(); ++i) {
       PMG_CHECK(std::fabs(out[i] - ref[i]) <= 1e-12,
-                "varcoef-2d hand kernel diverges from the register engine");
+                "varcoef-2d hand kernel diverges from the interpreter");
     }
     table.record(row, "tap-loop",
                  min_time_of(
@@ -164,16 +155,16 @@ void run_case(ResultTable& table, const Case& c, index_t edge, int reps) {
         jk.fn(ov.ptr, ov.origin.data(), ov.stride.data(), js, lo, hi);
       };
       // The specialized kernel is required to be bit-exact vs the
-      // register engine (one IEEE op per statement, -ffp-contract=off)
-      // — assert it, don't assume it, before timing it.
+      // interpreter (one IEEE op per statement, -ffp-contract=off) —
+      // assert it, don't assume it, before timing it.
       Buffer ref = grid::make_grid(region);
       View rv = View::over(ref.data(), region);
-      runtime::apply_regprog(rp, rv, srcs, region);
+      runtime::apply_bytecode(bc, rv, srcs, region);
       run_jit();
       PMG_CHECK(std::memcmp(out.data(), ref.data(),
                             sizeof(double) * ref.size()) == 0,
-                c.name << " jit kernel is not bit-exact vs the register "
-                          "engine");
+                c.name << " jit kernel is not bit-exact vs the "
+                          "interpreter");
       table.record(row, "jit", min_time_of(run_jit, reps));
     }
   }
@@ -211,8 +202,8 @@ int main_impl(int argc, char** argv) {
   }
   {
     // Variable-coefficient smoother: c(x)·(stencil of u) is a load·load
-    // product, so the tap-loop kernel cannot run it — this is the
-    // bytecode-only workload the register engine exists for.
+    // product, so the tap-loop kernel cannot run it — without a JIT
+    // kernel it runs on the interpreter.
     ir::SourceRef u, cf;
     u.slot = 0;
     u.ndim = 2;
@@ -229,14 +220,12 @@ int main_impl(int argc, char** argv) {
   for (const Case& c : cases) {
     run_case(table, c, c.ndim == 2 ? n2d : n3d, reps);
   }
-  table.print("Kernel engines: stack interpreter vs register row engine",
+  table.print("Kernel paths: stack interpreter vs tap-loop vs jit",
               "stack-interp");
-  std::printf("\nregister engine over stack interpreter (geomean): %.2fx\n",
-              table.geomean_speedup("regengine", "stack-interp"));
   if (codegen::jit_mode() != opt::JitMode::Off) {
-    std::printf("jit over regengine (geomean): %.2fx\n",
-                table.geomean_speedup("jit", "regengine"));
-    // The ISSUE bar: jit within 2x of tap-loop, i.e. this ratio >= 0.5.
+    std::printf("\njit over stack interpreter (geomean): %.2fx\n",
+                table.geomean_speedup("jit", "stack-interp"));
+    // The bar: jit within 2x of tap-loop, i.e. this ratio >= 0.5.
     std::printf("jit vs tap-loop (geomean, >=0.50 is within 2x): %.2fx\n",
                 table.geomean_speedup("jit", "tap-loop"));
   }

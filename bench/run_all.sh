@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run the perf-tracking benchmark set and drop machine-readable results
 # at the repository root:
-#   BENCH_kernels.json  — stack interpreter vs register row engine
+#   BENCH_kernels.json  — stack interpreter vs tap-loop vs JIT kernels
 #   BENCH_fig9.json     — 2-d multigrid variant comparison (Fig. 9)
 #   BENCH_scaling.json  — thread scaling, polymg-naive vs polymg-opt+
 #   BENCH_autotune.json — the Fig. 12 autotuning sweep

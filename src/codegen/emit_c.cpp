@@ -19,10 +19,9 @@ using opt::GroupPlan;
 using opt::StagePlan;
 using poly::index_t;
 
-const char* loop_var(int d, int ndim) {
-  static const char* v2[] = {"i", "j", "k"};
-  (void)ndim;
-  return v2[d];
+const char* loop_var(int d) {
+  static const char* v[] = {"i", "j", "k"};
+  return v[d];
 }
 
 std::vector<std::string> slot_names(const CompiledPipeline& plan,
@@ -36,108 +35,32 @@ std::vector<std::string> slot_names(const CompiledPipeline& plan,
   return names;
 }
 
-/// Sampled load index floor(num·x/den) + off of one dimension as C.
-std::string load_index_expr(const ir::LoadIndex& li, int d, int ndim) {
-  std::ostringstream os;
-  const char* v = loop_var(d, ndim);
-  if (li.num == 1 && li.den == 1) {
-    os << v;
-  } else if (li.den == 1) {
-    os << li.num << "*" << v;
-  } else {
-    os << "floord(";
-    if (li.num != 1) os << li.num << "*";
-    os << v << ", " << li.den << ")";
-  }
-  if (li.off > 0) os << " + " << li.off;
-  if (li.off < 0) os << " - " << -li.off;
-  return os.str();
-}
-
-const char* reg_op_symbol(ir::RegOpKind k) {
-  switch (k) {
-    case ir::RegOpKind::Add: return "+";
-    case ir::RegOpKind::Sub: return "-";
-    case ir::RegOpKind::Mul: return "*";
-    case ir::RegOpKind::Div: return "/";
-    default: return "?";
-  }
-}
-
-/// One register instruction as a C statement (the flattened form the
-/// register row engine evaluates; loads render like calls, matching the
-/// expression printer).
-void emit_reg_instr(std::ostringstream& os, const ir::RegInstr& in,
-                    const std::vector<std::string>& names, int ndim,
-                    const std::string& pad, bool in_prologue) {
-  os << pad << (in_prologue ? "const double r" : "double r") << in.dst
-     << " = ";
-  switch (in.kind) {
-    case ir::RegOpKind::Const:
-      os << in.c;
-      break;
-    case ir::RegOpKind::Load:
-      os << names[static_cast<std::size_t>(in.slot)] << "(";
-      for (int d = 0; d < ndim; ++d) {
-        os << (d ? ", " : "") << load_index_expr(in.idx[d], d, ndim);
-      }
-      os << ")";
-      break;
-    case ir::RegOpKind::Neg:
-      os << "-r" << in.a;
-      break;
-    default:
-      os << "r" << in.a << " " << reg_op_symbol(in.kind) << " r" << in.b;
-      break;
-  }
-  os << ";\n";
-}
-
 void emit_stage_loops(std::ostringstream& os, const CompiledPipeline& plan,
                       int func, const std::string& indent,
                       const std::string& dst, bool clamp_to_tile) {
   const FunctionDecl& f = plan.pipe.funcs[func];
   const int ndim = f.ndim;
   const auto names = slot_names(plan, f);
-  // Non-linear single-definition stages executed by the register row
-  // engine print its flattened form: the CSE'd loop-invariant registers
-  // hoisted above the nest, one scalar statement per body register.
-  const ir::RegProgram* regprog = nullptr;
-  if (!f.parity_piecewise && !plan.lowered[func].defs[0].linear &&
-      !plan.lowered[func].defs[0].regprog.empty()) {
-    regprog = &plan.lowered[func].defs[0].regprog;
-    if (!regprog->prologue.empty()) {
-      os << indent << "/* hoisted loop-invariant registers */\n";
-      for (const ir::RegInstr& in : regprog->prologue) {
-        emit_reg_instr(os, in, names, ndim, indent, /*in_prologue=*/true);
-      }
-    }
-  }
   std::string pad = indent;
   for (int d = 0; d < ndim; ++d) {
-    os << pad << "for (int " << loop_var(d, ndim) << " = ";
+    os << pad << "for (int " << loop_var(d) << " = ";
     if (clamp_to_tile) {
       os << "max(" << f.interior.dim(d).lo << ", lb_" << d << ")";
     } else {
       os << f.interior.dim(d).lo;
     }
-    os << "; " << loop_var(d, ndim) << " <= ";
+    os << "; " << loop_var(d) << " <= ";
     if (clamp_to_tile) {
       os << "min(" << f.interior.dim(d).hi << ", ub_" << d << ")";
     } else {
       os << f.interior.dim(d).hi;
     }
-    os << "; " << loop_var(d, ndim) << "++) {";
+    os << "; " << loop_var(d) << "++) {";
     if (d == ndim - 1) os << "  /* #pragma ivdep */";
     os << "\n";
     pad += "  ";
   }
-  if (regprog != nullptr) {
-    for (const ir::RegInstr& in : regprog->body) {
-      emit_reg_instr(os, in, names, ndim, pad, /*in_prologue=*/false);
-    }
-    os << pad << dst << "[...] = r" << regprog->result << ";\n";
-  } else if (f.parity_piecewise) {
+  if (f.parity_piecewise) {
     for (std::size_t c = 0; c < f.defs.size(); ++c) {
       os << pad << "/* parity case " << c << " */ " << dst
          << "[...] = " << ir::to_string(f.defs[c], names, ndim) << ";\n";

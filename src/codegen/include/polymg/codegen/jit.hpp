@@ -3,8 +3,8 @@
 // The inspection emitter (emit_c) prints what PolyMG's backend would
 // generate; this module closes the loop and actually runs generated
 // code. For each (function, parity case) of a compiled plan it emits a
-// specialized C kernel from the definition's register program —
-// constants folded (printed as hexfloats), parity step/phase and the
+// specialized C kernel from the definition's register program, compiled
+// from its bytecode at emission time — constants folded (printed as hexfloats), parity step/phase and the
 // unit innermost stride baked, per-load row pointers strength-reduced,
 // `restrict`-qualified pointers and an OpenMP-SIMD inner loop — then
 // invokes the system compiler (`cc -O3 -march=native -fopenmp-simd
@@ -14,18 +14,18 @@
 // definitions are left alone: they already run the specialized tap-loop,
 // and swapping in a register-program-order kernel would change their
 // summation order. The JIT targets exactly the definitions the linearizer
-// rejects — the stages that otherwise pay the 12-15x register-engine /
-// stack-interpreter penalty. (Per-def headroom on linear stencils is
+// rejects — the stages that otherwise run on the stack interpreter, two
+// orders of magnitude slower. (Per-def headroom on linear stencils is
 // still measurable through jit_kernel_for_def, which has no such
 // restriction; bench_kernels reports it.)
 //
 // Bit-exactness: every emitted kernel evaluates the definition's
 // register program one instruction per statement with contraction
-// disabled, which reproduces the register row engine and the point-wise
-// stack interpreter bit for bit. Since linear defs keep their tap-loop
-// either way, a specialized plan produces byte-identical outputs to the
-// same plan with the JIT off — and to the interpreter-only reference
-// plan the guarded oracle holds optimized plans to.
+// disabled, which reproduces the point-wise stack interpreter bit for
+// bit. Since linear defs keep their tap-loop either way, a specialized
+// plan produces byte-identical outputs to the same plan with the JIT off
+// — and to the reference plan the guarded oracle holds optimized plans
+// to, which interprets every non-linear definition.
 //
 // Caching is two-level and keyed by content: an in-process table plus
 // an on-disk directory (POLYMG_JIT_CACHE_DIR, default under $TMPDIR)
@@ -37,7 +37,7 @@
 //
 // Fallback ladder: process mode off -> plan mode off -> injected
 // jit.compile fault -> compiler failure -> dlopen / validation failure.
-// Every rung lands back on the register engine / interpreter dispatch
+// Every rung lands back on the interpreter for non-linear definitions
 // with a JitFallback trace event and the jit.fallbacks counter bumped;
 // results stay correct, only slower. A plan with nothing to specialize
 // (every def linear, or none emittable) is a quiet structural skip, not
@@ -71,7 +71,7 @@ std::string emit_jit_c(const opt::CompiledPipeline& plan);
 /// and bind native kernels into plan.lowered[..].defs[..].jit, with the
 /// module kept alive by plan.jit_module. Returns true when at least one
 /// kernel was bound; false on any fallback rung (the plan stays fully
-/// runnable on the register engine / interpreter). A plan whose defs are
+/// runnable on the tap-loop and the interpreter). A plan whose defs are
 /// all linear has nothing to specialize and returns false without
 /// touching the fallback counters. Idempotent: a plan that already
 /// carries a module is left untouched.
@@ -82,7 +82,7 @@ int jit_bound_kernels(const opt::CompiledPipeline& plan);
 
 /// A standalone compiled kernel for one definition (unit step, zero
 /// phase), for benchmarks and tests that drive kernels directly the way
-/// they drive apply_regprog. `module` keeps the dlopen'd code alive.
+/// they drive apply_bytecode. `module` keeps the dlopen'd code alive.
 struct JitKernel {
   ir::JitKernelFn fn = nullptr;
   std::shared_ptr<const void> module;

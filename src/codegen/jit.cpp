@@ -84,8 +84,8 @@ std::string jit_compiler() {
 }
 
 /// -ffp-contract=off is load-bearing: the emitted code must reproduce
-/// the register row engine (and hence the interpreter oracle) bit for
-/// bit, and the engine's per-instruction dispatch can never fuse a
+/// the stack interpreter (the guard's oracle) bit for bit, and the
+/// interpreter's one-operation-at-a-time evaluation can never fuse a
 /// separate mul and add into one FMA. Everything else is plain
 /// optimization.
 std::string jit_cflags() {
@@ -99,7 +99,7 @@ std::string jit_cflags() {
 }
 
 /// Compile budget (ms): past this the compiler child is SIGKILLed and
-/// specialization degrades to the register engine. Generous by default —
+/// specialization degrades to the interpreter. Generous by default —
 /// a healthy cc finishes a kernel module in well under a second; only a
 /// wedged toolchain ever meets the watchdog.
 long jit_timeout_ms() {
@@ -267,7 +267,7 @@ void fsync_parent_dir(const std::string& path) {
 /// can publish a torn file after a crash), rename into place, fsync the
 /// directory. Any failure — short write, ENOSPC, the injected
 /// cache.enospc model of either — unlinks the temp and returns false;
-/// callers degrade to the register engine.
+/// callers degrade to the interpreter.
 bool write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp." + std::to_string(getpid());
   const int fd =
@@ -423,7 +423,7 @@ const char* op_char(ir::RegOpKind k) {
 
 /// Emit one non-Load instruction as a single-operation statement.
 /// One IEEE operation per statement plus -ffp-contract=off is what
-/// makes the generated code bit-identical to the row engine.
+/// makes the generated code bit-identical to the stack interpreter.
 void emit_scalar_stmt(std::ostream& os, const std::string& ind,
                       const ir::RegInstr& in) {
   os << ind << "const double r" << in.dst << " = ";
@@ -708,8 +708,8 @@ bool note_fallback(bool loud, const char* why) {
   obs::trace_instant(obs::EventKind::JitFallback, -1, -1, -1, 0.0);
   if (loud) {
     std::fprintf(stderr,
-                 "polymg: jit specialization fell back to the register "
-                 "engine (%s)\n",
+                 "polymg: jit specialization fell back to the "
+                 "interpreter (%s)\n",
                  why);
   }
   return false;
@@ -738,16 +738,12 @@ std::vector<KernelSpec> collect_kernels(const opt::CompiledPipeline& plan) {
       // register-program order) would change the summation order — the
       // guarded oracle's reference plan runs the same tap-loop, and its
       // fallback results are required to match the optimized plan bit
-      // for bit. The 12-15x gap the JIT closes lives in the defs the
-      // linearizer rejects (the register-engine path). Per-def headroom
+      // for bit. The gap the JIT closes lives in the defs the linearizer
+      // rejects, which otherwise run on the interpreter. Per-def headroom
       // for linear stencils is still measured via jit_kernel_for_def in
       // bench_kernels.
       if (def.linear.has_value()) continue;
-      // Reference plans strip register programs; recompiling from the
-      // bytecode is deterministic, so the emitted code is identical
-      // either way.
-      ks.rp = def.regprog.empty() ? ir::compile_regprog(def.bytecode)
-                                  : def.regprog;
+      ks.rp = ir::compile_regprog(def.bytecode);
       if (!emittable(ks.rp, fn.ndim)) continue;
       specs.push_back(std::move(ks));
     }

@@ -40,20 +40,20 @@ inline constexpr const char* kServiceReject = "service.reject";
 /// noisy-neighbour hiccup); deadline enforcement must bound the damage.
 inline constexpr const char* kServiceSlow = "service.slow";
 /// The JIT's system-compiler invocation fails (models a broken or
-/// missing toolchain); specialization must fall back to the register
-/// engine / interpreter with a correct result.
+/// missing toolchain); specialization must fall back to the interpreter
+/// with a correct result.
 inline constexpr const char* kJitCompile = "jit.compile";
 /// The JIT's compiler child hangs instead of exiting (models a wedged
 /// toolchain); the sandbox's waitpid timeout must kill it and fall back
-/// to the register engine within the compile budget.
+/// to the interpreter within the compile budget.
 inline constexpr const char* kJitHang = "jit.hang";
 /// A worker's solve stops making progress without tripping its token (a
 /// livelock / scheduler wedge); the service watchdog must detect the
 /// frozen progress epoch and escalate.
 inline constexpr const char* kSolveStall = "solve.stall";
 /// A JIT disk-cache write fails mid-stream (models ENOSPC / a partial
-/// write); publication must degrade to the register engine, never crash
-/// or publish a torn entry.
+/// write); publication must degrade to the interpreter, never crash or
+/// publish a torn entry.
 inline constexpr const char* kCacheEnospc = "cache.enospc";
 /// A service-side allocation fails (models memory-pool exhaustion under
 /// load); the request must resolve Overloaded with a retry-after hint,

@@ -15,7 +15,6 @@
 #include "polymg/ir/bytecode.hpp"
 #include "polymg/ir/function.hpp"
 #include "polymg/ir/jit_abi.hpp"
-#include "polymg/ir/regprog.hpp"
 
 namespace polymg::ir {
 
@@ -54,10 +53,6 @@ std::optional<LinearForm> try_linearize(const Expr& e, int ndim);
 struct LoweredDef {
   std::optional<LinearForm> linear;  // fast path when present
   Bytecode bytecode;                 // always valid (reference/fallback)
-  /// Register program for the row engine (non-linear definitions).
-  /// Compiled at plan time; cleared when a plan opts out of the register
-  /// engine (the reference/oracle plans keep interpreting `bytecode`).
-  RegProgram regprog;
   /// Natively compiled kernel (codegen::jit_specialize), or null. The
   /// pointer's code is kept alive by CompiledPipeline::jit_module;
   /// reference/oracle plans never bind one (CompileOptions::jit is

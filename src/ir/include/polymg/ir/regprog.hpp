@@ -1,17 +1,16 @@
-// Register-bytecode programs: the row engine's executable form.
+// Register-bytecode programs: the JIT emitter's input form.
 //
 // The stack Bytecode is a faithful postfix rendering of the definition
 // expression, evaluated one point at a time — correct but interpretive.
-// A RegProgram is the same expression compiled once (at plan time) into a
-// linear three-address form over virtual registers, with
+// A RegProgram is the same expression compiled into a linear
+// three-address form over virtual registers, with
 //   (a) common-subexpression elimination by value numbering (identical
 //       constants, loads and operation trees share one register), and
 //   (b) loop-invariant hoisting: instructions whose operands are all
 //       position-independent (constants and arithmetic over constants)
 //       move to a prologue executed once per kernel invocation.
-// The runtime evaluates the body over whole rows in fixed-width batches
-// (each register is a short vector of lanes), which is what lets the
-// compiler vectorize arbitrary bytecode-only stages.
+// codegen's JIT compiles each definition's bytecode into one when it
+// emits the kernel, and prints one C statement per instruction.
 #pragma once
 
 #include <vector>
@@ -47,12 +46,6 @@ struct RegProgram {
   bool empty() const { return num_regs == 0; }
 };
 
-/// Capacity bounds the batch evaluator relies on; programs exceeding them
-/// are still valid RegPrograms but the runtime falls back to the stack
-/// interpreter (caps are validated where the engine is selected).
-inline constexpr int kRegEngineMaxRegs = 96;
-inline constexpr int kRegEngineMaxLoads = 48;
-
 /// Compile stack bytecode into a register program (CSE + hoisting).
 RegProgram compile_regprog(const Bytecode& bc);
 
@@ -62,8 +55,5 @@ RegProgram compile_regprog(const Bytecode& bc);
 /// `num_slots` bounds Load slots (< 0 skips the slot check). Returns a
 /// human-readable issue list, empty when well-formed.
 std::vector<std::string> regprog_issues(const RegProgram& p, int num_slots);
-
-/// Whether the batch evaluator can run this program (capacity caps).
-bool regprog_fits_engine(const RegProgram& p);
 
 }  // namespace polymg::ir

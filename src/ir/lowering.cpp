@@ -145,9 +145,6 @@ LoweredFunc lower(const FunctionDecl& f) {
     LoweredDef ld;
     ld.linear = try_linearize(def, f.ndim);
     ld.bytecode = compile_bytecode(def);
-    // Linear definitions run through the tap-loop kernel; only the
-    // non-linear ones need the register row engine.
-    if (!ld.linear) ld.regprog = compile_regprog(ld.bytecode);
     if (!ld.linear) out.all_linear = false;
     out.defs.push_back(std::move(ld));
   }

@@ -229,9 +229,4 @@ std::vector<std::string> regprog_issues(const RegProgram& p, int num_slots) {
   return issues;
 }
 
-bool regprog_fits_engine(const RegProgram& p) {
-  return !p.empty() && p.num_regs <= kRegEngineMaxRegs &&
-         p.num_loads <= kRegEngineMaxLoads;
-}
-
 }  // namespace polymg::ir

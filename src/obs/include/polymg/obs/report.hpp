@@ -49,6 +49,10 @@ struct RunReport {
     std::int64_t chunks = 0;
     int threads = 0;
     std::string unit;
+    /// Stage rows: the kernel path the stage ran on (jit, tap or
+    /// interp), or each parity case's path ("jit/interp/...") when they
+    /// differ. Empty renders nothing.
+    std::string path;
   };
   std::vector<TimeRow> groups;  ///< per-group attribution, plan order
   std::vector<TimeRow> stages;  ///< per-stage attribution, pipeline order

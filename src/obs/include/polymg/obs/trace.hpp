@@ -67,7 +67,7 @@ enum class EventKind : std::uint8_t {
                       ///< 0 disk, value=kernels bound
   JitFallback,        ///< specialization unavailable (no toolchain,
                       ///< compile failure, injected jit.compile fault):
-                      ///< the plan runs on the register engine
+                      ///< the plan runs on the interpreter
   RequestSpan,        ///< one request's in-worker residency (dequeue ->
                       ///< completion): group=tenant index, id=ticket,
                       ///< value=deadline ms (0 = none), req=ticket

@@ -92,10 +92,12 @@ std::string RunReport::render() const {
   if (!stages.empty()) {
     os << "time by stage:\n";
     for (const TimeRow& r : stages) {
-      std::snprintf(line, sizeof(line), "  %-40s %10.3f ms %6.1f%%\n",
+      std::snprintf(line, sizeof(line), "  %-40s %10.3f ms %6.1f%%",
                     r.label.c_str(), r.seconds * 1e3,
                     total > 0 ? 100.0 * r.seconds / total : 0.0);
       os << line;
+      if (!r.path.empty()) os << "  " << r.path;
+      os << "\n";
     }
   }
 

@@ -73,17 +73,10 @@ CompiledPipeline compile(Pipeline pipe, const CompileOptions& opts) {
   CompiledPipeline cp;
   cp.opts = opts;
 
-  // Lower every function definition up front. Plans that opt out of the
-  // register engine (the guarded-execution reference) drop the register
-  // programs so their non-linear stages interpret bytecode point-wise.
+  // Lower every function definition up front.
   cp.lowered.reserve(pipe.funcs.size());
   for (const ir::FunctionDecl& f : pipe.funcs) {
     cp.lowered.push_back(ir::lower(f));
-    if (!opts.register_engine) {
-      for (ir::LoweredDef& ld : cp.lowered.back().defs) {
-        ld.regprog = ir::RegProgram{};
-      }
-    }
   }
 
   const Grouping grouping = auto_group(pipe, opts);

@@ -23,9 +23,9 @@ std::string to_string(Variant v);
 
 /// Whether plans may bind natively JIT-compiled stencil kernels.
 /// `Auto` (the default) uses the JIT when a system compiler is
-/// available and falls back to the register engine / interpreter
-/// silently otherwise; `On` still falls back gracefully but warns on
-/// stderr when specialization fails; `Off` never invokes the compiler.
+/// available and falls back to the interpreter silently otherwise;
+/// `On` still falls back gracefully but warns on stderr when
+/// specialization fails; `Off` never invokes the compiler.
 enum class JitMode : std::uint8_t { Off, Auto, On };
 
 std::string to_string(JitMode m);
@@ -53,11 +53,6 @@ struct CompileOptions {
   bool inter_group_reuse = true;  ///< full-array reuse across groups
   bool pooled_allocation = true;  ///< pooled allocator across cycles
   bool collapse = true;           ///< collapse(d) on perfect tile loops
-
-  /// Row-batched register engine for non-linear definitions. Reference
-  /// (oracle) plans turn this off so they keep interpreting bytecode
-  /// point-wise — an implementation independent of the engine they check.
-  bool register_engine = true;
 
   /// ± size threshold (in elements per dimension) when classifying
   /// scratchpads into storage classes (§3.2.1).

@@ -289,28 +289,6 @@ std::vector<std::string> plan_issues(const CompiledPipeline& cp) {
     }
   }
 
-  // ---- Lowered register programs: structurally sound, and absent when
-  // ---- the plan opts out of the engine (oracle plans must interpret).
-  for (int f = 0; f < std::min(nfuncs, static_cast<int>(cp.lowered.size()));
-       ++f) {
-    const int nslots = static_cast<int>(pipe.funcs[f].sources.size());
-    for (std::size_t di = 0; di < cp.lowered[f].defs.size(); ++di) {
-      const ir::LoweredDef& ld = cp.lowered[f].defs[di];
-      if (ld.regprog.empty()) continue;
-      out.check(cp.opts.register_engine, [&](auto& o) {
-        o << pipe.funcs[f].name << " def " << di
-          << " carries a register program in a plan with the register "
-             "engine disabled";
-      });
-      for (const std::string& s : ir::regprog_issues(ld.regprog, nslots)) {
-        out.check(false, [&](auto& o) {
-          o << pipe.funcs[f].name << " def " << di << " register program: "
-            << s;
-        });
-      }
-    }
-  }
-
   // ---- Liveness: releases in range, unique, never before a reader. ----
   std::vector<int> released_at(static_cast<std::size_t>(narrays), -1);
   for (std::size_t gi = 0; gi < cp.release_after_group.size(); ++gi) {
@@ -368,11 +346,9 @@ CompileOptions reference_options(const CompileOptions& base) {
   o.inter_group_reuse = false;
   o.pooled_allocation = false;
   o.collapse = false;
-  // The oracle must stay implementation-independent of the fast path it
-  // cross-checks: interpret bytecode, never the register engine.
-  o.register_engine = false;
-  // And never through code the specializer emitted — the oracle is the
-  // independent check on exactly that code.
+  // The oracle must stay independent of the code it cross-checks: never
+  // run what the specializer emitted, so its non-linear definitions
+  // interpret bytecode point-wise.
   o.jit = JitMode::Off;
   return o;
 }

@@ -11,10 +11,12 @@
 #include "polymg/common/fault.hpp"
 #include "polymg/common/parallel.hpp"
 #include "polymg/common/timer.hpp"
+#include "polymg/ir/regprog.hpp"
 #include "polymg/obs/histogram.hpp"
 #include "polymg/obs/metrics.hpp"
 #include "polymg/obs/perf.hpp"
 #include "polymg/obs/trace.hpp"
+#include "polymg/runtime/kernels.hpp"
 
 namespace polymg::runtime {
 
@@ -195,8 +197,8 @@ namespace {
 
 /// Arithmetic operations per grid point of one lowered definition (the
 /// representative case 0). Linear stencils cost one multiply-add per tap
-/// (minus the first add); register programs count their per-point body
-/// arithmetic.
+/// (minus the first add); other definitions count the per-point
+/// arithmetic of their register program, the form the JIT emits.
 double flops_per_point(const ir::LoweredFunc& lowered) {
   if (lowered.defs.empty()) return 0.0;
   const ir::LoweredDef& def = lowered.defs.front();
@@ -205,20 +207,26 @@ double flops_per_point(const ir::LoweredFunc& lowered) {
     return taps > 0 ? 2.0 * taps - 1.0 : 0.0;
   }
   double n = 0.0;
-  for (const ir::RegInstr& in : def.regprog.body) {
-    switch (in.kind) {
-      case ir::RegOpKind::Neg:
-      case ir::RegOpKind::Add:
-      case ir::RegOpKind::Sub:
-      case ir::RegOpKind::Mul:
-      case ir::RegOpKind::Div:
-        n += 1.0;
-        break;
-      default:
-        break;
-    }
+  for (const ir::RegInstr& in : ir::compile_regprog(def.bytecode).body) {
+    n += in.kind == ir::RegOpKind::Load ? 0.0 : 1.0;
   }
   return n;
+}
+
+/// The kernel path of a stage: one name when every parity case takes
+/// the same path, else each case's path in case order ("jit/interp/...").
+std::string kernel_paths(const ir::LoweredFunc& lowered) {
+  if (lowered.defs.empty()) return "";
+  const KernelPath first = kernel_path(lowered.defs.front());
+  std::string all = to_string(first);
+  bool uniform = true;
+  for (std::size_t c = 1; c < lowered.defs.size(); ++c) {
+    const KernelPath p = kernel_path(lowered.defs[c]);
+    uniform = uniform && p == first;
+    all += '/';
+    all += to_string(p);
+  }
+  return uniform ? to_string(first) : all;
 }
 
 }  // namespace
@@ -237,14 +245,20 @@ obs::RunReport Executor::run_report() const {
       label += " (+" + std::to_string(g.stages.size() - 1) + " stage(s))";
     }
     static const char* kUnit[] = {"slab", "tile", "block"};
-    rep.groups.push_back({std::move(label), group_seconds_[gi],
-                          deals_[gi].chunks, deals_[gi].threads,
-                          kUnit[static_cast<int>(g.exec)]});
+    obs::RunReport::TimeRow& row = rep.groups.emplace_back();
+    row.label = std::move(label);
+    row.seconds = group_seconds_[gi];
+    row.chunks = deals_[gi].chunks;
+    row.threads = deals_[gi].threads;
+    row.unit = kUnit[static_cast<int>(g.exec)];
   }
   for (std::size_t f = 0; f < plan_.pipe.funcs.size() &&
                           f < stage_seconds_.size();
        ++f) {
-    rep.stages.push_back({plan_.pipe.funcs[f].name, stage_seconds_[f]});
+    obs::RunReport::TimeRow& row = rep.stages.emplace_back();
+    row.label = plan_.pipe.funcs[f].name;
+    row.seconds = stage_seconds_[f];
+    row.path = kernel_paths(plan_.lowered[f]);
   }
   // Roofline attribution: model bytes/flops come from the plan alone (so
   // model GB/s renders even where perf_event_open is unavailable); the

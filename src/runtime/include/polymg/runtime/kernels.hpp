@@ -4,11 +4,13 @@
 // residual, restriction, interpolation, correction); its inner loop is
 // specialized for the access patterns multigrid produces (unit stride,
 // ×2 sampling, ÷2 sampling on parity sub-lattices). A stack-bytecode
-// evaluator covers non-affine definitions. All kernels operate on Views,
-// so the same code runs on full arrays and tile scratchpads.
+// evaluator covers non-affine definitions that no JIT kernel is bound
+// for. All kernels operate on Views, so the same code runs on full
+// arrays and tile scratchpads.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 
 #include "polymg/grid/view.hpp"
@@ -34,13 +36,12 @@ void apply_bytecode(const ir::Bytecode& bc, View out,
                     std::array<index_t, 3> step = {1, 1, 1},
                     std::array<index_t, 3> phase = {0, 0, 0});
 
-/// Same contract, evaluating a plan-time-compiled register program over
-/// whole rows in fixed-width lane batches (the fast path for non-linear
-/// definitions). The program must satisfy regprog_fits_engine().
-void apply_regprog(const ir::RegProgram& prog, View out,
-                   std::span<const View> srcs, const Box& region,
-                   std::array<index_t, 3> step = {1, 1, 1},
-                   std::array<index_t, 3> phase = {0, 0, 0});
+/// The kernel a lowered definition runs on: a bound JIT kernel, the
+/// tap-loop for linear forms, else the stack interpreter.
+enum class KernelPath : std::uint8_t { Jit, Tap, Interp };
+
+KernelPath kernel_path(const ir::LoweredDef& d);
+const char* to_string(KernelPath p);
 
 /// Execute one function over `region`: interior points via its lowered
 /// definition(s) (dispatching parity cases when piecewise) and the

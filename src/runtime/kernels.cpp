@@ -283,108 +283,6 @@ void apply_pointwise(View out, const Box& region,
   }
 }
 
-// ---------------------------------------------------------------------
-// Register row engine: evaluate a RegProgram over whole rows in
-// fixed-width lane batches.
-// ---------------------------------------------------------------------
-
-/// Lanes per batch. 8 doubles = one AVX-512 register / two AVX2
-/// registers; the per-instruction dispatch cost is amortized over the
-/// whole batch and every lane loop is a fixed-trip-count vectorizable
-/// loop in the full-batch specialization.
-inline constexpr int kLanes = 8;
-
-/// Per-Load addressing, derived once per kernel invocation. The row
-/// base offset (everything except the innermost loop's contribution) is
-/// refreshed per row; the innermost dimension is strength-reduced to a
-/// constant advance when the sampling map is affine in the loop counter.
-struct RegLoadPlan {
-  const double* src_ptr = nullptr;
-  const double* row_ptr = nullptr;  // src_ptr + current row offset
-  // Outer (non-inner) logical dims: sampled-index parameters + layout.
-  int num[3] = {1, 1, 1};
-  int den[3] = {1, 1, 1};
-  index_t off[3] = {0, 0, 0};
-  index_t origin[3] = {0, 0, 0};
-  index_t stride[3] = {0, 0, 0};
-  // Innermost dimension.
-  bool inner_affine = true;
-  index_t adv = 0;     // address advance per loop iteration (affine)
-  index_t inner0 = 0;  // inner contribution at u == 0 (affine)
-  index_t stride_in = 1, origin_in = 0, off_in = 0;
-  int num_in = 1, den_in = 1;
-  index_t start_in = 0, step_in = 1;
-};
-
-/// One batch of `w` consecutive inner-loop iterations starting at `u`.
-/// `Full` pins w to kLanes so every lane loop has a constant trip count.
-template <bool Full>
-void regprog_batch(const ir::RegProgram& prog, RegLoadPlan* lp,
-                   double (*__restrict__ regs)[kLanes], index_t u,
-                   int w_in) {
-  const int w = Full ? kLanes : w_in;
-  int li = 0;
-  for (const ir::RegInstr& in : prog.body) {
-    double* __restrict__ d = regs[in.dst];
-    switch (in.kind) {
-      case ir::RegOpKind::Load: {
-        const RegLoadPlan& L = lp[li++];
-        if (L.inner_affine) {
-          const double* __restrict__ p = L.row_ptr + u * L.adv;
-          if (L.adv == 1) {
-            for (int l = 0; l < w; ++l) d[l] = p[l];
-          } else {
-            const index_t adv = L.adv;
-            for (int l = 0; l < w; ++l) d[l] = p[l * adv];
-          }
-        } else {
-          // floor(num·x/den) not affine in u (÷2 interpolation maps at
-          // unit step): per-lane index computation.
-          for (int l = 0; l < w; ++l) {
-            const index_t x = L.start_in + (u + l) * L.step_in;
-            const index_t q =
-                floordiv(L.num_in * x, L.den_in) + L.off_in;
-            const index_t e = (q - L.origin_in) * L.stride_in;
-            d[l] = L.row_ptr[e];
-          }
-        }
-        break;
-      }
-      case ir::RegOpKind::Neg: {
-        const double* __restrict__ a = regs[in.a];
-        for (int l = 0; l < w; ++l) d[l] = -a[l];
-        break;
-      }
-      case ir::RegOpKind::Add: {
-        const double* __restrict__ a = regs[in.a];
-        const double* __restrict__ b = regs[in.b];
-        for (int l = 0; l < w; ++l) d[l] = a[l] + b[l];
-        break;
-      }
-      case ir::RegOpKind::Sub: {
-        const double* __restrict__ a = regs[in.a];
-        const double* __restrict__ b = regs[in.b];
-        for (int l = 0; l < w; ++l) d[l] = a[l] - b[l];
-        break;
-      }
-      case ir::RegOpKind::Mul: {
-        const double* __restrict__ a = regs[in.a];
-        const double* __restrict__ b = regs[in.b];
-        for (int l = 0; l < w; ++l) d[l] = a[l] * b[l];
-        break;
-      }
-      case ir::RegOpKind::Div: {
-        const double* __restrict__ a = regs[in.a];
-        const double* __restrict__ b = regs[in.b];
-        for (int l = 0; l < w; ++l) d[l] = a[l] / b[l];
-        break;
-      }
-      case ir::RegOpKind::Const:
-        break;  // hoisted; regprog_issues rejects Consts in the body
-    }
-  }
-}
-
 }  // namespace
 
 void apply_linear(const ir::LinearForm& lf, View out,
@@ -465,138 +363,26 @@ void apply_bytecode(const ir::Bytecode& bc, View out,
       });
 }
 
-void apply_regprog(const ir::RegProgram& prog, View out,
-                   std::span<const View> srcs, const Box& region,
-                   std::array<index_t, 3> step,
-                   std::array<index_t, 3> phase) {
-  if (region.empty()) return;
-  PMG_CHECK(ir::regprog_fits_engine(prog),
-            "register program exceeds engine capacity ("
-                << prog.num_regs << " regs, " << prog.num_loads << " loads)");
-  const int ndim = out.ndim;
-  DimLoop dl[3];
-  if (!make_levels(region, ndim, step, phase, dl)) return;
-  const int inner = ndim - 1;
-
-  // Loop-invariant prologue: evaluate scalars once, then broadcast into
-  // the lane-wide register file (body instructions treat every operand
-  // uniformly as a lane vector).
-  alignas(64) double regs[ir::kRegEngineMaxRegs][kLanes];
-  for (const ir::RegInstr& in : prog.prologue) {
-    double v = 0.0;
-    switch (in.kind) {
-      case ir::RegOpKind::Const: v = in.c; break;
-      case ir::RegOpKind::Neg: v = -regs[in.a][0]; break;
-      case ir::RegOpKind::Add: v = regs[in.a][0] + regs[in.b][0]; break;
-      case ir::RegOpKind::Sub: v = regs[in.a][0] - regs[in.b][0]; break;
-      case ir::RegOpKind::Mul: v = regs[in.a][0] * regs[in.b][0]; break;
-      case ir::RegOpKind::Div: v = regs[in.a][0] / regs[in.b][0]; break;
-      case ir::RegOpKind::Load:
-        PMG_CHECK(false, "Load hoisted into regprog prologue");
-        break;
-    }
-    for (int l = 0; l < kLanes; ++l) regs[in.dst][l] = v;
-  }
-
-  // Per-Load addressing plans (stack-resident, derived once).
-  RegLoadPlan lp[ir::kRegEngineMaxLoads];
-  {
-    int li = 0;
-    for (const ir::RegInstr& in : prog.body) {
-      if (in.kind != ir::RegOpKind::Load) continue;
-      RegLoadPlan& L = lp[li++];
-      const View& src = srcs[in.slot];
-      PMG_DCHECK(src.ptr != nullptr, "unbound source view");
-      L.src_ptr = src.ptr;
-      for (int d = 0; d < inner; ++d) {
-        L.num[d] = in.idx[d].num;
-        L.den[d] = in.idx[d].den;
-        L.off[d] = in.idx[d].off;
-        L.origin[d] = src.origin[d];
-        L.stride[d] = src.stride[d];
-      }
-      L.num_in = in.idx[inner].num;
-      L.den_in = in.idx[inner].den;
-      L.off_in = in.idx[inner].off;
-      L.origin_in = src.origin[inner];
-      L.stride_in = src.stride[inner];
-      L.start_in = dl[2].start;
-      L.step_in = dl[2].step;
-      L.inner_affine = (L.num_in * dl[2].step) % L.den_in == 0;
-      if (L.inner_affine) {
-        // Strength reduction along the unit-stride dim: the sampled
-        // address advances by a constant per iteration.
-        L.adv = (L.num_in * dl[2].step / L.den_in) * L.stride_in;
-        L.inner0 = (floordiv(L.num_in * dl[2].start, L.den_in) + L.off_in -
-                    L.origin_in) *
-                   L.stride_in;
-      }
-    }
-  }
-
-  // Output addressing per loop level (same mapping as the linear path).
-  const int lo_dim = 3 - ndim;
-  index_t out_stride[3] = {0, 0, 0};
-  index_t out_base = 0;
-  for (int lvl = 0; lvl < 3; ++lvl) {
-    const int d = lvl - lo_dim;
-    if (d < 0) continue;
-    out_stride[lvl] = dl[lvl].step * out.stride[d];
-    out_base += (dl[lvl].start - out.origin[d]) * out.stride[d];
-  }
-
-  const int nloads = prog.num_loads;
-  const index_t count = dl[2].count;
-  const double* __restrict__ res = regs[prog.result];
-  for (index_t u0 = 0; u0 < dl[0].count; ++u0) {
-    for (index_t u1 = 0; u1 < dl[1].count; ++u1) {
-      // Row coordinates of the outer logical dims.
-      index_t p[3] = {0, 0, 0};
-      if (ndim == 3) {
-        p[0] = dl[0].start + u0 * dl[0].step;
-        p[1] = dl[1].start + u1 * dl[1].step;
-      } else if (ndim == 2) {
-        p[0] = dl[1].start + u1 * dl[1].step;
-      }
-      // Refresh each load's row base: outer sampled offsets plus the
-      // inner dim's u == 0 contribution when affine.
-      for (int i = 0; i < nloads; ++i) {
-        RegLoadPlan& L = lp[i];
-        index_t base = L.inner_affine ? L.inner0 : 0;
-        for (int d = 0; d < inner; ++d) {
-          base += (floordiv(L.num[d] * p[d], L.den[d]) + L.off[d] -
-                   L.origin[d]) *
-                  L.stride[d];
-        }
-        L.row_ptr = L.src_ptr + base;
-      }
-      double* __restrict__ orow =
-          out.ptr + out_base + u0 * out_stride[0] + u1 * out_stride[1];
-      const index_t os2 = out_stride[2];
-      index_t u = 0;
-      for (; u + kLanes <= count; u += kLanes) {
-        regprog_batch<true>(prog, lp, regs, u, kLanes);
-        if (os2 == 1) {
-          for (int l = 0; l < kLanes; ++l) orow[u + l] = res[l];
-        } else {
-          for (int l = 0; l < kLanes; ++l) orow[(u + l) * os2] = res[l];
-        }
-      }
-      if (u < count) {
-        const int w = static_cast<int>(count - u);
-        regprog_batch<false>(prog, lp, regs, u, w);
-        for (int l = 0; l < w; ++l) orow[(u + l) * os2] = res[l];
-      }
-    }
-  }
-}
-
 void fill_view(View v, const Box& region, double value) {
   grid::fill_region(v, region, value);
 }
 
 void copy_view(View dst, View src, const Box& region) {
   grid::copy_region(dst, src, region, grid::Fork::Never);
+}
+
+KernelPath kernel_path(const ir::LoweredDef& d) {
+  if (d.jit != nullptr) return KernelPath::Jit;
+  return d.linear ? KernelPath::Tap : KernelPath::Interp;
+}
+
+const char* to_string(KernelPath p) {
+  switch (p) {
+    case KernelPath::Jit: return "jit";
+    case KernelPath::Tap: return "tap";
+    case KernelPath::Interp: return "interp";
+  }
+  return "?";
 }
 
 namespace {
@@ -617,15 +403,14 @@ bool jit_dispatch_ok(const View& out, std::span<const View> srcs) {
   return true;
 }
 
-/// Evaluate one lowered definition: natively compiled kernel when the
-/// JIT bound one, else tap-loop kernel for linear forms, register row
-/// engine for compiled non-linear forms, and the point-wise stack
-/// interpreter as the universal fallback (also the independent oracle
-/// of reference plans, which never carry JIT kernels or regprogs).
+/// Evaluate one lowered definition on the path kernel_path() names. A
+/// bound JIT kernel whose views fail jit_dispatch_ok runs on the
+/// interpreter instead (the JIT binds only non-linear definitions).
 void apply_def(const ir::LoweredDef& d, View out, std::span<const View> srcs,
                const Box& region, const std::array<index_t, 3>& step,
                const std::array<index_t, 3>& phase) {
-  if (d.jit != nullptr && jit_dispatch_ok(out, srcs)) {
+  const KernelPath path = kernel_path(d);
+  if (path == KernelPath::Jit && jit_dispatch_ok(out, srcs)) {
     // (step, phase) are baked into the kernel; apply_defs always pairs
     // a def with the parity case it was lowered (and emitted) for.
     ir::JitSrcView js[ir::kJitMaxSrcSlots];
@@ -645,10 +430,8 @@ void apply_def(const ir::LoweredDef& d, View out, std::span<const View> srcs,
     d.jit(out.ptr, out.origin.data(), out.stride.data(), js, lo, hi);
     return;
   }
-  if (d.linear) {
+  if (path == KernelPath::Tap) {
     apply_linear(*d.linear, out, srcs, region, step, phase);
-  } else if (ir::regprog_fits_engine(d.regprog)) {
-    apply_regprog(d.regprog, out, srcs, region, step, phase);
   } else {
     apply_bytecode(d.bytecode, out, srcs, region, step, phase);
   }

@@ -107,16 +107,6 @@ void Checkpoint::commit() {
   PMG_TRACE_INSTANT(CheckpointWrite, -1, -1, next_cycle_, bytes);
 }
 
-index_t Checkpoint::slot_doubles(std::size_t slot) const {
-  PMG_CHECK(slot < entries_.size(), "checkpoint slot " << slot << " unset");
-  return entries_[slot].used;
-}
-
-std::uint64_t Checkpoint::slot_checksum(std::size_t slot) const {
-  PMG_CHECK(slot < entries_.size(), "checkpoint slot " << slot << " unset");
-  return entries_[slot].checksum;
-}
-
 bool Checkpoint::restore(std::size_t slot, double* dst,
                          index_t doubles) const {
   PMG_CHECK(valid_, "restore from an uncommitted checkpoint");

@@ -73,8 +73,6 @@ public:
   int next_cycle() const { return next_cycle_; }
   int rung() const { return rung_; }
   std::size_t slots() const { return entries_.size(); }
-  index_t slot_doubles(std::size_t slot) const;
-  std::uint64_t slot_checksum(std::size_t slot) const;
 
   /// Copy `slot`'s payload into `dst` (size must match the capture).
   /// Verifies the checksum first; on mismatch returns false, leaves `dst`

@@ -1,8 +1,10 @@
-// JIT kernel specialization: bit-exactness against the interpreted
-// engines, schedule/thread independence of specialized plans, the
-// two-level kernel cache (memory -> disk -> compile, stale rejection),
-// and every rung of the fallback ladder (injected compile fault, missing
-// toolchain).
+// JIT kernel specialization: bit-exactness against the stack
+// interpreter (on the bench stencils, on random expression trees and
+// offset-origin views, and on parity-piecewise stages against the
+// reference plan), schedule/thread independence of specialized plans,
+// the two-level kernel cache (memory -> disk -> compile, stale
+// rejection), and every rung of the fallback ladder (injected compile
+// fault, missing toolchain).
 //
 // Executor-level coverage uses the variable-coefficient pipeline: its
 // β-weighted Jacobi stages divide by a coefficient sum, so the
@@ -30,11 +32,13 @@
 #include "polymg/common/parallel.hpp"
 #include "polymg/common/rng.hpp"
 #include "polymg/grid/ops.hpp"
+#include "polymg/ir/builder.hpp"
 #include "polymg/ir/jit_abi.hpp"
 #include "polymg/ir/stencil.hpp"
 #include "polymg/obs/metrics.hpp"
 #include "polymg/obs/trace.hpp"
 #include "polymg/opt/compile.hpp"
+#include "polymg/opt/validate.hpp"
 #include "polymg/runtime/executor.hpp"
 #include "polymg/runtime/kernels.hpp"
 #include "polymg/solvers/cycles.hpp"
@@ -220,6 +224,145 @@ std::vector<double> run_bits_vc(const CycleConfig& cfg, CompileOptions o,
   return bits;
 }
 
+/// Random load with per-dimension sampling drawn from the shapes
+/// multigrid produces: identity, ×2 restriction, ÷2 interpolation, each
+/// with a small offset.
+ir::Expr random_load(Rng& rng, int ndim, int nslots) {
+  std::array<ir::LoadIndex, ir::kMaxDims> idx{};
+  for (int d = 0; d < ndim; ++d) {
+    switch (rng.below(3)) {
+      case 0:
+        idx[d] = ir::LoadIndex{1, 1, 0};
+        break;
+      case 1:
+        idx[d] = ir::LoadIndex{2, 1, 0};
+        break;
+      default:
+        idx[d] = ir::LoadIndex{1, 2, 0};
+        break;
+    }
+    idx[d].off = static_cast<index_t>(rng.below(3)) - 1;
+  }
+  return ir::make_load(static_cast<int>(rng.below(nslots)), idx);
+}
+
+/// Random expression tree. Divisions keep a const-offset denominator so
+/// values stay finite on random data; everything else is unconstrained.
+ir::Expr random_expr(Rng& rng, int ndim, int nslots, int depth) {
+  if (depth == 0 || rng.below(4) == 0) {
+    return rng.below(3) == 0 ? ir::make_const(rng.uniform(-2, 2))
+                             : random_load(rng, ndim, nslots);
+  }
+  switch (rng.below(5)) {
+    case 0:
+      return random_expr(rng, ndim, nslots, depth - 1) +
+             random_expr(rng, ndim, nslots, depth - 1);
+    case 1:
+      return random_expr(rng, ndim, nslots, depth - 1) -
+             random_expr(rng, ndim, nslots, depth - 1);
+    case 2:
+      return random_expr(rng, ndim, nslots, depth - 1) *
+             random_expr(rng, ndim, nslots, depth - 1);
+    case 3:
+      return -random_expr(rng, ndim, nslots, depth - 1);
+    default:
+      return random_expr(rng, ndim, nslots, depth - 1) /
+             (random_load(rng, ndim, nslots) + 3.0);
+  }
+}
+
+/// Evaluate `e` through a def-level JIT kernel and the stack interpreter
+/// over `region` and demand identical bits.
+void check_jit_vs_interpreter(const ir::Expr& e, int ndim, int nslots,
+                              const Box& src_dom, const Box& region,
+                              std::uint64_t seed) {
+  const ir::Bytecode bc = ir::compile_bytecode(e);
+  const JitKernel k = jit_kernel_for_def(ndim, bc);
+  ASSERT_TRUE(static_cast<bool>(k));
+  std::vector<Buffer> bufs;
+  std::vector<View> srcs;
+  for (int s = 0; s < nslots; ++s) {
+    bufs.push_back(random_grid(src_dom, seed + static_cast<std::uint64_t>(s)));
+    srcs.push_back(View::over(bufs.back().data(), src_dom));
+  }
+  Buffer got = grid::make_grid(region);
+  Buffer ref = grid::make_grid(region);
+  run_jit_kernel(k, View::over(got.data(), region), srcs, region);
+  runtime::apply_bytecode(bc, View::over(ref.data(), region), srcs, region);
+  EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
+                           sizeof(double) * got.size()));
+}
+
+/// Fine-grid interpolation pipeline with parity-piecewise non-linear
+/// stages. `up`'s four cases each multiply and divide loads; `mix` keeps
+/// its even-even case linear, so it runs the tap-loop there and the JIT
+/// (or interpreter) on the other three.
+ir::Pipeline parity_pipeline(index_t nc) {
+  const index_t n = 2 * nc + 1;
+  ir::PipelineBuilder b(2);
+  const Box fdom = Box::cube(2, 0, n + 1);
+  const ir::Handle c = b.input("c", Box::cube(2, 0, nc + 1));
+  const ir::Handle f = b.input("f", fdom);
+  const auto spec = [&](const std::string& name) {
+    ir::FuncSpec sp;
+    sp.name = name;
+    sp.domain = fdom;
+    sp.interior = Box::cube(2, 1, n);
+    return sp;
+  };
+  using Refs = std::span<const ir::SourceRef>;
+  const ir::Handle up = b.define_interp(spec("up"), {c, f}, [](Refs s) {
+    std::vector<ir::Expr> cases;
+    for (int k = 0; k < 4; ++k) {
+      const ir::Expr far = s[0].at(k >> 1, k & 1);
+      cases.push_back(s[0].at(0, 0) * s[1]() / (far * far + 2.0) -
+                      0.5 * far);
+    }
+    return cases;
+  });
+  const ir::Handle mix = b.define_interp(spec("mix"), {c, f}, [](Refs s) {
+    std::vector<ir::Expr> cases{0.5 * s[0].at(0, 0) + s[1]()};
+    for (int k = 1; k < 4; ++k) {
+      cases.push_back(s[0].at(0, 0) * s[0].at(k >> 1, k & 1) /
+                      (s[1]() * s[1]() + 1.0));
+    }
+    return cases;
+  });
+  b.mark_output(b.define(spec("out"), {up, mix},
+                         [](Refs s) { return s[0]() - s[1](); }));
+  return b.build();
+}
+
+/// Run the parity pipeline once; return its output bits, and optionally
+/// the bound kernel count and the executor's RunReport.
+std::vector<double> run_bits_parity(const CompileOptions& o,
+                                    int* bound = nullptr,
+                                    obs::RunReport* report = nullptr) {
+  constexpr index_t nc = 31;
+  const Box cdom = Box::cube(2, 0, nc + 1);
+  const Box fdom = Box::cube(2, 0, 2 * nc + 2);
+  Buffer c = random_grid(cdom, 5);
+  Buffer f = random_grid(fdom, 6);
+  runtime::Executor ex(opt::compile(parity_pipeline(nc), o));
+  if (bound != nullptr) *bound = jit_bound_kernels(ex.plan());
+  const std::vector<View> ext = {View::over(c.data(), cdom),
+                                 View::over(f.data(), fdom)};
+  ex.run(ext);
+  if (report != nullptr) *report = ex.run_report();
+  std::vector<double> bits(static_cast<std::size_t>(fdom.count()));
+  std::memcpy(bits.data(), ex.output_view(0).ptr,
+              sizeof(double) * bits.size());
+  return bits;
+}
+
+/// A RunReport stage row's kernel path, by stage name.
+std::string path_of(const obs::RunReport& r, const std::string& stage) {
+  for (const auto& row : r.stages) {
+    if (row.label == stage) return row.path;
+  }
+  return "<no row " + stage + ">";
+}
+
 // -- emission-only checks (no toolchain required) ---------------------
 
 TEST(Jit, EmitContainsSimdKernelsAndStaleGuards) {
@@ -287,35 +430,48 @@ TEST(Jit, DefKernelsBitExactVsBothEngines) {
   if (!toolchain()) GTEST_SKIP() << "no host compiler";
   fresh_cache_dir("defexact");
   for (const Stencil& c : bench_stencils()) {
+    SCOPED_TRACE(c.name);
     const index_t edge = c.ndim == 2 ? 65 : 21;
-    const Box dom = Box::cube(c.ndim, 0, edge + 1);
-    const Box region = Box::cube(c.ndim, 1, edge);
-    std::vector<Buffer> bufs;
-    std::vector<View> srcs;
-    for (int s = 0; s < c.nsrcs; ++s) {
-      bufs.push_back(random_grid(dom, 7 + static_cast<std::uint64_t>(s)));
-      srcs.push_back(View::over(bufs.back().data(), dom));
-    }
-    const ir::Bytecode bc = ir::compile_bytecode(c.expr);
-    const JitKernel k = jit_kernel_for_def(c.ndim, bc);
-    ASSERT_TRUE(static_cast<bool>(k)) << c.name;
-
-    Buffer got = grid::make_grid(region);
-    Buffer ref = grid::make_grid(region);
-    View gv = View::over(got.data(), region);
-    View rv = View::over(ref.data(), region);
-
-    run_jit_kernel(k, gv, srcs, region);
-    runtime::apply_regprog(ir::compile_regprog(bc), rv, srcs, region);
-    EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
-                             sizeof(double) * got.size()))
-        << c.name << " vs register engine";
-
-    runtime::apply_bytecode(bc, rv, srcs, region);
-    EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
-                             sizeof(double) * got.size()))
-        << c.name << " vs stack interpreter";
+    check_jit_vs_interpreter(c.expr, c.ndim, c.nsrcs,
+                             Box::cube(c.ndim, 0, edge + 1),
+                             Box::cube(c.ndim, 1, edge), 7);
   }
+}
+
+TEST(Jit, RandomExpressionsBitExact2d) {
+  if (!toolchain()) GTEST_SKIP() << "no host compiler";
+  fresh_cache_dir("rand2d");
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const ir::Expr e = random_expr(rng, 2, 2, 4);
+    // Random region alignment, including rows far shorter than a SIMD
+    // vector.
+    const index_t lo = static_cast<index_t>(rng.below(5));
+    const index_t hi = lo + 1 + static_cast<index_t>(rng.below(29));
+    check_jit_vs_interpreter(e, 2, 2, Box::cube(2, -3, 2 * hi + 3),
+                             Box::cube(2, lo, hi), 1000 + trial);
+  }
+}
+
+TEST(Jit, RandomExpressionsBitExact3d) {
+  if (!toolchain()) GTEST_SKIP() << "no host compiler";
+  fresh_cache_dir("rand3d");
+  Rng rng(777);
+  for (int trial = 0; trial < 15; ++trial) {
+    const ir::Expr e = random_expr(rng, 3, 2, 3);
+    check_jit_vs_interpreter(e, 3, 2, Box::cube(3, -3, 27),
+                             Box::cube(3, 1, 12), 2000 + trial);
+  }
+}
+
+TEST(Jit, OffsetOriginViewsBitExact) {
+  if (!toolchain()) GTEST_SKIP() << "no host compiler";
+  fresh_cache_dir("offset");
+  // Scratchpad-style views with origins away from zero.
+  const Stencil vc = bench_stencils()[3];
+  const Box src_dom{{37, 80}, {91, 140}};
+  const Box region{{40, 70}, {95, 130}};
+  check_jit_vs_interpreter(vc.expr, 2, vc.nsrcs, src_dom, region, 42);
 }
 
 // -- executor-level: specialization, schedules, threads ---------------
@@ -388,6 +544,59 @@ TEST(Jit, SpecializedPlanMatchesInterpretedBitExact) {
   const std::vector<double> b = run_bits_vc(vc2d(), off, 2);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), sizeof(double) * a.size()));
+}
+
+TEST(Jit, ParityKernelsBitExactVsReferencePlan) {
+  if (!toolchain()) GTEST_SKIP() << "no host compiler";
+  fresh_cache_dir("parity");
+  // Every parity case of `up` and three of `mix` bind a kernel with its
+  // (step, phase) baked; the plan must match the reference plan, which
+  // interprets them, bit for bit.
+  CompileOptions on = CompileOptions::for_variant(Variant::OptPlus, 2);
+  on.jit = JitMode::On;
+  int bound = 0;
+  obs::RunReport rep;
+  const std::vector<double> got = run_bits_parity(on, &bound, &rep);
+  EXPECT_EQ(bound, 7);
+  EXPECT_EQ(path_of(rep, "up"), "jit");
+  EXPECT_EQ(path_of(rep, "mix"), "tap/jit/jit/jit");
+  EXPECT_EQ(path_of(rep, "out"), "tap");
+
+  const std::vector<double> ref =
+      run_bits_parity(opt::reference_options(on));
+  ASSERT_EQ(ref.size(), got.size());
+  EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                           sizeof(double) * ref.size()));
+}
+
+TEST(Jit, RunReportNamesEachParityCasePath) {
+  // No compiler needed: with the JIT off the non-linear cases interpret,
+  // and a stage whose cases take different paths lists each one.
+  CompileOptions off = CompileOptions::for_variant(Variant::OptPlus, 2);
+  off.jit = JitMode::Off;
+  obs::RunReport rep;
+  (void)run_bits_parity(off, nullptr, &rep);
+  EXPECT_EQ(path_of(rep, "up"), "interp");
+  EXPECT_EQ(path_of(rep, "mix"), "tap/interp/interp/interp");
+  EXPECT_EQ(path_of(rep, "out"), "tap");
+  EXPECT_NE(rep.render().find("tap/interp/interp/interp"), std::string::npos);
+}
+
+TEST(Jit, RunReportNamesJitStages) {
+  if (!toolchain()) GTEST_SKIP() << "no host compiler";
+  fresh_cache_dir("report");
+  CompileOptions o = CompileOptions::for_variant(Variant::OptPlus, 2);
+  o.jit = JitMode::On;
+  runtime::Executor ex(
+      opt::compile(solvers::build_varcoef_cycle(vc2d()), o));
+  const obs::RunReport rep = ex.run_report();
+  int smoothers = 0;
+  for (const auto& row : rep.stages) {
+    if (row.label.rfind("smooth", 0) != 0) continue;
+    EXPECT_EQ(row.path, "jit") << row.label;
+    ++smoothers;
+  }
+  EXPECT_GT(smoothers, 0);
 }
 
 // -- cache behaviour --------------------------------------------------
@@ -479,7 +688,8 @@ TEST(Jit, WrongKeyModuleIsStale) {
   ASSERT_TRUE(static_cast<bool>(k));
   EXPECT_EQ(ctr("jit.stale_rejects"), s0 + 1);
 
-  // And the rebuilt kernel is the right one: bit-exact vs bc_b's engine.
+  // And the rebuilt kernel is the right one: bit-exact vs bc_b's
+  // interpreter.
   const index_t edge = 33;
   const Box dom = Box::cube(2, 0, edge + 1);
   const Box region = Box::cube(2, 1, edge);
@@ -490,7 +700,7 @@ TEST(Jit, WrongKeyModuleIsStale) {
   View gv = View::over(got.data(), region);
   View rv = View::over(ref.data(), region);
   run_jit_kernel(k, gv, srcs, region);
-  runtime::apply_regprog(ir::compile_regprog(bc_b), rv, srcs, region);
+  runtime::apply_bytecode(bc_b, rv, srcs, region);
   EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
                            sizeof(double) * got.size()));
 }

@@ -72,20 +72,6 @@ TEST(RegProg, DistinctLoadsStayDistinct) {
   EXPECT_EQ(p.num_loads, 2);
 }
 
-TEST(RegProg, FitsEngineRespectsLoadCap) {
-  Expr e = make_load(0, at(0, -24));
-  for (index_t j = -23; j <= 24; ++j) e = e + make_load(0, at(0, j));
-  const RegProgram p = compile_regprog(compile_bytecode(e));
-  EXPECT_EQ(p.num_loads, 49);
-  EXPECT_GT(p.num_loads, kRegEngineMaxLoads);
-  EXPECT_FALSE(regprog_fits_engine(p));
-  EXPECT_TRUE(regprog_issues(p, 1).empty());  // still a valid program
-}
-
-TEST(RegProg, EmptyProgramDoesNotFitEngine) {
-  EXPECT_FALSE(regprog_fits_engine(RegProgram{}));
-}
-
 TEST(RegProg, IssuesCatchCorruption) {
   const Expr u = make_load(0, at(0, 0));
   const Expr e = make_const(2.0) * u;

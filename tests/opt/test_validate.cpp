@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "polymg/codegen/jit.hpp"
 #include "polymg/common/error.hpp"
-#include "polymg/ir/regprog.hpp"
 #include "polymg/opt/compile.hpp"
 #include "polymg/solvers/cycles.hpp"
 #include "polymg/solvers/varcoef.hpp"
@@ -211,49 +211,29 @@ TEST(ValidatePlan, RejectsWrongSizedTileRegionCache) {
   EXPECT_FALSE(plan_issues(cp).empty());
 }
 
-TEST(ValidatePlan, ReferencePlanCarriesNoRegisterPrograms) {
-  // The reference oracle must stay an independent implementation: its
-  // lowered functions interpret stack bytecode, never the register
-  // programs the engine under test executes.
-  const CompileOptions ref =
-      reference_options(CompileOptions::for_variant(Variant::OptPlus, 2));
-  EXPECT_FALSE(ref.register_engine);
-  CompiledPipeline cp = compile(solvers::build_cycle(small2d()), ref);
-  for (const auto& lf : cp.lowered) {
-    for (const auto& d : lf.defs) EXPECT_TRUE(d.regprog.empty());
-  }
+TEST(ValidatePlan, ReferencePlanBindsNoJitKernels) {
+  // The reference oracle must stay independent of the code it checks:
+  // even where a compiler is available, a reference plan of the varcoef
+  // cycle (whose β division the JIT otherwise specializes) binds no
+  // native kernel, so its non-linear stages interpret bytecode.
+  const CycleConfig cfg = small2d();
+  CompileOptions base = CompileOptions::for_variant(Variant::OptPlus, 2);
+  base.jit = JitMode::On;
+  const CompileOptions ref = reference_options(base);
+  EXPECT_EQ(ref.jit, JitMode::Off);
+  CompiledPipeline cp = compile(solvers::build_varcoef_cycle(cfg), ref);
+  EXPECT_FALSE(codegen::jit_specialize(cp));
+  EXPECT_EQ(codegen::jit_bound_kernels(cp), 0);
+  EXPECT_EQ(cp.jit_module, nullptr);
   EXPECT_TRUE(plan_issues(cp).empty());
 
-  // Smuggling a register program into a reference plan is a validation
-  // failure, not a silent fast path.
-  ASSERT_FALSE(cp.lowered.empty());
-  ASSERT_FALSE(cp.lowered[0].defs.empty());
-  cp.lowered[0].defs[0].regprog =
-      ir::compile_regprog(cp.lowered[0].defs[0].bytecode);
-  EXPECT_FALSE(plan_issues(cp).empty());
-}
-
-TEST(ValidatePlan, RejectsMalformedRegisterProgram) {
-  // The variable-coefficient smoother is a load·load product, so its
-  // OptPlus plan carries register programs to corrupt.
-  CycleConfig cfg = small2d();
-  CompiledPipeline cp = compile(solvers::build_varcoef_cycle(cfg),
-                                CompileOptions::for_variant(Variant::OptPlus,
-                                                            cfg.ndim));
-  EXPECT_TRUE(plan_issues(cp).empty());
-  bool corrupted = false;
-  for (auto& lf : cp.lowered) {
-    for (auto& d : lf.defs) {
-      if (!d.regprog.empty()) {
-        d.regprog.result = d.regprog.num_regs + 5;  // dangling result
-        corrupted = true;
-        break;
-      }
-    }
-    if (corrupted) break;
+  // The same pipeline under the optimized options binds kernels when a
+  // compiler is present, so the zero above is the oracle's opt-out.
+  if (codegen::jit_toolchain_available()) {
+    CompiledPipeline fast = compile(solvers::build_varcoef_cycle(cfg), base);
+    EXPECT_TRUE(codegen::jit_specialize(fast));
+    EXPECT_GT(codegen::jit_bound_kernels(fast), 0);
   }
-  ASSERT_TRUE(corrupted) << "varcoef plan should carry register programs";
-  EXPECT_FALSE(plan_issues(cp).empty());
 }
 
 TEST(ValidatePlan, ErrorListsEveryIssue) {
